@@ -13,8 +13,8 @@ impl FileSystem for ShadowFs {
         "shadow"
     }
 
-    // Untimed op: no OpTimer, no trace events — exactly how a slow or
-    // misbehaving path hides from the latency histograms.
+    // Untimed op: outside `protected_op`, no trace events — exactly how a
+    // slow or misbehaving path hides from the latency histograms.
     fn open(&self, ctx: &ProcCtx, p: &str, flags: OpenFlags, mode: FileMode) -> FsResult<Fd> {
         self.do_open(ctx, p, flags, mode)
     }

@@ -9,7 +9,7 @@
 //! with a hand-rolled line/token scanner (no `syn`, no dependencies — it
 //! must build in offline containers) over the workspace sources.
 //!
-//! Eleven rule families:
+//! Ten rule families:
 //!
 //! * **persist-order** — in a function that issues raw region stores
 //!   (`write`, `write_from`, `nt_write_from`, `zero`) and later clears a
@@ -46,11 +46,11 @@
 //!   breaks the io::Error conversion surface).
 //! * **obs-coverage** — the observability layer only catches what it can
 //!   see: every public `FileSystem` op implemented in an `fs.rs` (the fns
-//!   taking a `ProcCtx`) must run under an `OpTimer`
-//!   (`measure(`/`FsOp::` in its body), and every `AtomicU64` counter
-//!   battery declared in `core` must be wired into the `ObsRegistry`
-//!   (mentioned in the file declaring it) — an unregistered counter or an
-//!   untimed op is invisible to `paper obs` and to the flight recorder.
+//!   taking a `ProcCtx`) must run inside the `protected_op(` wrapper that
+//!   times it, and every `AtomicU64` counter battery declared in `core`
+//!   must be wired into the `ObsRegistry` (mentioned in the file declaring
+//!   it) — an unregistered counter or an untimed op is invisible to `paper
+//!   obs` and to the flight recorder.
 //! * **shared-region** — a shared-file mount rebuilds every volatile cache
 //!   per process, trusting only media: any struct in `core` holding a
 //!   cache-shaped container (`HashMap`/`FastMap`/`UnsafeCell`/`SegQueue`)
@@ -58,12 +58,6 @@
 //!   registry next to the shared mount protocol. An unlisted cache is DRAM
 //!   state no peer process can rebuild or invalidate — exactly the thing a
 //!   `kill -9` of one mount turns into silent divergence.
-//! * **wire-parity** — the serving gateway mirrors the `FileSystem` trait
-//!   over a binary protocol: every trait method must have a matching
-//!   `Request` variant (snake_case → CamelCase), every variant must map
-//!   back to a method, and every variant must be handled by an explicit
-//!   arm in a `dispatch` function. A method added without a wire op (or
-//!   an op without a handler) is an API the daemon silently cannot serve.
 //! * **relocation-order** — online compaction swaps a file's extent map
 //!   under the single-slot relocation journal, and the §"Relocation
 //!   ordering invariant" (crates/core/src/compact.rs) only holds in one
@@ -83,7 +77,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The eleven rule families.
+/// The ten rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     PersistOrder,
@@ -95,7 +89,6 @@ pub enum Rule {
     ApiSurface,
     ObsCoverage,
     SharedRegion,
-    WireParity,
     RelocationOrder,
 }
 
@@ -112,12 +105,11 @@ impl Rule {
             Rule::ApiSurface => "api-surface",
             Rule::ObsCoverage => "obs-coverage",
             Rule::SharedRegion => "shared-region",
-            Rule::WireParity => "wire-parity",
             Rule::RelocationOrder => "relocation-order",
         }
     }
 
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::PersistOrder,
         Rule::FenceScope,
         Rule::LockDiscipline,
@@ -127,7 +119,6 @@ impl Rule {
         Rule::ApiSurface,
         Rule::ObsCoverage,
         Rule::SharedRegion,
-        Rule::WireParity,
         Rule::RelocationOrder,
     ];
 }
@@ -1319,8 +1310,9 @@ fn counter_structs(file: &SourceFile) -> Vec<(usize, String)> {
 
 fn rule_obs_coverage(files: &[SourceFile], report: &mut Report) {
     // Part A: every public `FileSystem` op implemented in an `fs.rs` must
-    // run under an `OpTimer`. The ops proper all take a `ProcCtx`; fns
-    // without one (`name()`-style accessors) are not ops.
+    // run inside `protected_op`, the wrapper that times it. The ops proper
+    // all take a `ProcCtx`; fns without one (`name()`-style accessors) are
+    // not ops.
     for file in files {
         if !(file.label == "fs.rs" || file.label.ends_with("/fs.rs")) {
             continue;
@@ -1342,18 +1334,15 @@ fn rule_obs_coverage(files: &[SourceFile], report: &mut Report) {
             if !(s..=sig_end).any(|l| file.lines[l].code.contains("ProcCtx")) {
                 continue;
             }
-            let timed = (s..=e).any(|l| {
-                let c = &file.lines[l].code;
-                has_invocation(c, "measure") || c.contains("FsOp::")
-            });
+            let timed = (s..=e).any(|l| has_invocation(&file.lines[l].code, "protected_op"));
             if !timed && !allowed(file, s, Rule::ObsCoverage) {
                 report.findings.push(Finding {
                     rule: Rule::ObsCoverage,
                     file: file.label.clone(),
                     line: s + 1,
                     message: format!(
-                        "`FileSystem` op `{name}` runs without an OpTimer \
-                         (no `measure(`/`FsOp::` in its body) — invisible to `paper obs`"
+                        "`FileSystem` op `{name}` runs outside `protected_op(` \
+                         — untimed, so invisible to `paper obs`"
                     ),
                 });
             }
@@ -1478,157 +1467,6 @@ fn rule_shared_region(files: &[SourceFile], report: &mut Report) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 10: wire parity
-// ---------------------------------------------------------------------------
-
-/// `read_to_vec` → `ReadToVec`.
-fn snake_to_camel(s: &str) -> String {
-    s.split('_')
-        .map(|w| {
-            let mut cs = w.chars();
-            match cs.next() {
-                Some(c) => c.to_ascii_uppercase().to_string() + cs.as_str(),
-                None => String::new(),
-            }
-        })
-        .collect()
-}
-
-/// 0-based inclusive brace range of the first item on whose declaration
-/// line `pred` holds.
-fn item_brace_range(
-    file: &SourceFile,
-    pred: impl Fn(&str) -> bool,
-) -> Option<(usize, usize)> {
-    let start = file.lines.iter().position(|l| !l.skip && pred(&l.code))?;
-    let mut depth = 0i64;
-    let mut entered = false;
-    for (ln, line) in file.lines.iter().enumerate().skip(start) {
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if entered && depth <= 0 {
-            return Some((start, ln));
-        }
-    }
-    None
-}
-
-/// The serving gateway mirrors `FileSystem` over the wire. Three-way
-/// parity is checked across the whole file set: trait method ↔ `Request`
-/// variant (snake_case ↔ CamelCase) ↔ explicit `Request::…` arm inside a
-/// function named `dispatch`. The rule is silent when no `trait
-/// FileSystem` or no `enum Request` is in the scanned set (e.g. a
-/// single-crate scan), and the dispatch leg is only checked when some
-/// `fn dispatch` exists.
-fn rule_wire_parity(files: &[SourceFile], report: &mut Report) {
-    let trait_file = files.iter().find_map(|f| {
-        // `trait FileSystem` exactly — supertrait bounds like
-        // `trait Served: FileSystem` must not match.
-        item_brace_range(f, |code| code.contains("trait FileSystem"))
-            .map(|range| (f, range))
-    });
-    let enum_file = files.iter().find_map(|f| {
-        item_brace_range(f, |code| has_word(code, "enum") && has_word(code, "Request"))
-            .map(|range| (f, range))
-    });
-    let (Some((tf, (ts, te))), Some((ef, (es, ee)))) = (trait_file, enum_file) else {
-        return;
-    };
-
-    // Trait methods: `fn name(` declarations inside the trait braces.
-    let mut methods: Vec<(usize, String)> = Vec::new();
-    for ln in ts + 1..te {
-        let line = &tf.lines[ln];
-        if line.skip {
-            continue;
-        }
-        if let Some(name) = declared_fn_name(&line.code) {
-            methods.push((ln, name));
-        }
-    }
-    let variants = enum_variants(ef, es, ee);
-
-    // Leg 1: every method has a wire variant.
-    for (ln, method) in &methods {
-        let want = snake_to_camel(method);
-        if !variants.iter().any(|(_, v)| *v == want) && !allowed(tf, *ln, Rule::WireParity) {
-            report.findings.push(Finding {
-                rule: Rule::WireParity,
-                file: tf.label.clone(),
-                line: ln + 1,
-                message: format!(
-                    "FileSystem::{method} has no `Request::{want}` wire variant — \
-                     the gateway cannot serve it"
-                ),
-            });
-        }
-    }
-
-    // Leg 2: every variant maps back to a method.
-    for (ln, variant) in &variants {
-        let mapped = methods.iter().any(|(_, m)| snake_to_camel(m) == *variant);
-        if !mapped && !allowed(ef, *ln, Rule::WireParity) {
-            report.findings.push(Finding {
-                rule: Rule::WireParity,
-                file: ef.label.clone(),
-                line: ln + 1,
-                message: format!(
-                    "Request::{variant} does not correspond to any FileSystem method"
-                ),
-            });
-        }
-    }
-
-    // Leg 3: every variant has an explicit arm in a `fn dispatch`.
-    let dispatch_files: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| {
-            f.lines
-                .iter()
-                .any(|l| !l.skip && declared_fn_name(&l.code).as_deref() == Some("dispatch"))
-        })
-        .collect();
-    if dispatch_files.is_empty() {
-        return;
-    }
-    let mut arms: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for f in &dispatch_files {
-        for line in f.lines.iter().filter(|l| !l.skip) {
-            let code = &line.code;
-            let mut rest = code.as_str();
-            while let Some(pos) = rest.find("Request::") {
-                rest = &rest[pos + "Request::".len()..];
-                let ident: String = rest.chars().take_while(|&c| is_ident(c)).collect();
-                if !ident.is_empty() {
-                    arms.insert(ident);
-                }
-            }
-        }
-    }
-    for (ln, variant) in &variants {
-        if !arms.contains(variant) && !allowed(ef, *ln, Rule::WireParity) {
-            report.findings.push(Finding {
-                rule: Rule::WireParity,
-                file: ef.label.clone(),
-                line: ln + 1,
-                message: format!(
-                    "Request::{variant} has no dispatch arm — the daemon would fail \
-                     to answer this wire op"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tolerance-factor guard (comparative benchmark assertions)
 // ---------------------------------------------------------------------------
 
@@ -1738,7 +1576,6 @@ pub fn scan_files(sources: &[(&str, &str)], manifest: &[String]) -> Report {
     rule_media_layout(&files, manifest, &mut report);
     rule_obs_coverage(&files, &mut report);
     rule_shared_region(&files, &mut report);
-    rule_wire_parity(&files, &mut report);
     report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     report.findings.dedup();
     report
@@ -2488,7 +2325,7 @@ mod tests {
             impl FileSystem for ShadowFs {
                 fn name(&self) -> &str { \"shadow\" }
                 fn open(&self, ctx: &ProcCtx, p: &str) -> FsResult<Fd> {
-                    self.measure(FsOp::Open, || self.do_open(ctx, p))
+                    self.protected_op(RequestKind::Open, OpClass::Walk, || self.do_open(ctx, p))
                 }
                 fn unlink(&self, ctx: &ProcCtx, p: &str) -> FsResult<()> {
                     self.do_unlink(ctx, p)

@@ -374,8 +374,6 @@ pub fn data_probe_stats(scale: &Scale) -> String {
 /// set (the `paper obs --json` surface, schema in EXPERIMENTS.md), otherwise
 /// an aligned per-op count/p50/p99/max latency table.
 pub fn obs_probe(scale: &Scale, json: bool) -> String {
-    use simurgh_core::obs::FsOp;
-
     let region = Arc::new(PmemRegion::new(64 << 20));
     let fs = Arc::new(SimurghFs::format(region, SimurghConfig::default()).expect("format"));
     let rounds = (scale.meta_files as u64 / 8).clamp(16, 512);
@@ -390,18 +388,10 @@ pub fn obs_probe(scale: &Scale, json: bool) -> String {
         "{:<16}{:>10}{:>12}{:>12}{:>12}\n",
         "op", "count", "p50_ns", "p99_ns", "max_ns"
     ));
-    for op in FsOp::ALL {
-        let s = fs.obs().snapshot(op);
-        if s.count == 0 {
-            continue;
-        }
+    for (name, s) in fs.obs().latencies().filter(|(_, s)| s.count > 0) {
         out.push_str(&format!(
             "{:<16}{:>10}{:>12}{:>12}{:>12}\n",
-            op.name(),
-            s.count,
-            s.p50_ns,
-            s.p99_ns,
-            s.max_ns
+            name, s.count, s.p50_ns, s.p99_ns, s.max_ns
         ));
     }
     let g = &fs.obs().gateway;
@@ -499,7 +489,6 @@ fn mixed_metadata_workload(fs: &SimurghFs, rounds: u64) {
 /// Fig. 7 panels, and the full observability registry. One JSON object —
 /// redirect to a file to pin a change's before/after profile.
 pub fn bench_snapshot(scale: &Scale) -> String {
-    use simurgh_core::obs::FsOp;
     use simurgh_core::testing::matrix::probe_costs;
 
     let costs = probe_costs()
@@ -532,15 +521,11 @@ pub fn bench_snapshot(scale: &Scale) -> String {
     .expect("bench-snapshot churn");
     let gw = gateway_burst(&fs, 8, 50);
     let mut latency = Vec::new();
-    for op in FsOp::ALL {
-        let s = fs.obs().snapshot(op);
-        if s.count == 0 {
-            continue;
-        }
+    for (name, s) in fs.obs().latencies().filter(|(_, s)| s.count > 0) {
         let ratio = if s.p50_ns > 0 { s.p99_ns as f64 / s.p50_ns as f64 } else { 0.0 };
         latency.push(format!(
             "{{\"op\":\"{}\",\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"p99_over_p50\":{ratio:.2}}}",
-            op.name(),
+            name,
             s.count,
             s.p50_ns,
             s.p99_ns

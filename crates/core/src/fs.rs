@@ -16,6 +16,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use simurgh_fsapi::fs::{DirEntry, FileSystem, OpenTable, ProcCtx};
 use simurgh_fsapi::types::{access, Fd, FileMode, FileType, FsStats, OpenFlags, SeekFrom, Stat};
+use simurgh_fsapi::wire::RequestKind;
 use simurgh_fsapi::{path, FsError, FsResult, OpTimers, TimerCategory};
 use simurgh_pmem::layout::Carver;
 use simurgh_pmem::{PPtr, PmemRegion, PAGE_SIZE};
@@ -29,7 +30,7 @@ use crate::file::{self, FileEnv};
 use crate::obj::dirblock::{DirBlock, DIRBLOCK_SIZE};
 use crate::obj::inode::{Extent, Inode};
 use crate::obj::{self};
-use crate::obs::{self, FsOp};
+use crate::obs::{self, Phase};
 use crate::recovery::{self, RecoveryReport};
 use crate::security::{OpClass, Security};
 use crate::shared;
@@ -241,7 +242,7 @@ impl SimurghFs {
                 // empty; positive hints fill in on use and misses always
                 // verify against the persistent chains.
                 fs.index.disable_negative_authority();
-                fs.obs.record(FsOp::Mount, t_mount.elapsed());
+                fs.obs.record_phase(Phase::Mount, t_mount.elapsed());
                 Ok(SimurghFs { shared_mode: true, ..fs })
             }
         }
@@ -270,11 +271,11 @@ impl SimurghFs {
         let fs = SimurghFs { recovery: report, ..fs };
         // Mount and recovery phases land in the same histograms as the
         // regular ops, so `paper obs` reports them alongside.
-        fs.obs.record(FsOp::RecoverMark, fs.recovery.mark_time);
-        fs.obs.record(FsOp::RecoverRepair, fs.recovery.repair_time);
-        fs.obs.record(FsOp::RecoverSweep, fs.recovery.sweep_time);
-        fs.obs.record(FsOp::RecoverRebuild, fs.recovery.rebuild_time);
-        fs.obs.record(FsOp::Mount, t_mount.elapsed());
+        fs.obs.record_phase(Phase::RecoverMark, fs.recovery.mark_time);
+        fs.obs.record_phase(Phase::RecoverRepair, fs.recovery.repair_time);
+        fs.obs.record_phase(Phase::RecoverSweep, fs.recovery.sweep_time);
+        fs.obs.record_phase(Phase::RecoverRebuild, fs.recovery.rebuild_time);
+        fs.obs.record_phase(Phase::Mount, t_mount.elapsed());
         Ok(fs)
     }
 
@@ -610,11 +611,12 @@ impl SimurghFs {
         *self.compactq.queue.lock().unwrap() = found.into_iter().map(|(_, p)| p).collect();
     }
 
-    /// Times one `FileSystem` op: latency histogram (`obs`) plus the
-    /// Table 1 execution-share counter, in one wrapper.
-    fn measure<R>(&self, op: FsOp, f: impl FnOnce() -> R) -> R {
-        let _t = self.obs.timer(op);
-        self.timers.time(TimerCategory::Fs, f)
+    /// Runs one `FileSystem` op as a protected-function call (§3): the
+    /// entry charge of `class`, then one clock-read pair around the body
+    /// that feeds both the op's latency histogram and the Table 1 `Fs`
+    /// share.
+    fn protected_op<R>(&self, kind: RequestKind, class: OpClass, f: impl FnOnce() -> R) -> R {
+        self.sec.call(class, || self.obs.time_op(kind, &self.timers, f))
     }
 
     /// Test support: the shared-DRAM directory index of this mount.
@@ -949,408 +951,362 @@ impl FileSystem for SimurghFs {
     }
 
     fn open(&self, ctx: &ProcCtx, p: &str, flags: OpenFlags, mode: FileMode) -> FsResult<Fd> {
-        self.sec.call(OpClass::Walk, || {
-            self.measure(FsOp::Open, || {
-                let ino = if flags.create {
-                    self.open_create(ctx, p, flags, mode)?
-                } else {
-                    let ino = self.resolve(ctx, p, true)?;
-                    self.open_existing(ctx, ino, flags)?
-                };
-                let pos =
-                    if flags.append { ino.size(&self.region) } else { 0 };
-                let cursor = self.open_ref(ino);
-                Ok(self.opens.insert(ctx.pid, OpenFile { ino, pos, flags, cursor }))
-            })
+        self.protected_op(RequestKind::Open, OpClass::Walk, || {
+            let ino = if flags.create {
+                self.open_create(ctx, p, flags, mode)?
+            } else {
+                let ino = self.resolve(ctx, p, true)?;
+                self.open_existing(ctx, ino, flags)?
+            };
+            let pos =
+                if flags.append { ino.size(&self.region) } else { 0 };
+            let cursor = self.open_ref(ino);
+            Ok(self.opens.insert(ctx.pid, OpenFile { ino, pos, flags, cursor }))
         })
     }
 
     fn close(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<()> {
-        self.sec.call(OpClass::Ctl, || {
-            self.measure(FsOp::Close, || {
-                let open = self.opens.remove(ctx.pid, fd)?;
-                self.close_ref(open.ino);
-                Ok(())
-            })
+        self.protected_op(RequestKind::Close, OpClass::Ctl, || {
+            let open = self.opens.remove(ctx.pid, fd)?;
+            self.close_ref(open.ino);
+            Ok(())
         })
     }
 
     fn read(&self, ctx: &ProcCtx, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
-        self.sec.call(OpClass::Data, || {
-            self.measure(FsOp::Read, || {
-                let open = self.with_open(ctx, fd)?;
-                let n = self.do_pread(&open, buf, open.pos)?;
-                self.opens.with_mut(ctx.pid, fd, |o| o.pos += n as u64)?;
-                Ok(n)
-            })
+        self.protected_op(RequestKind::Read, OpClass::Data, || {
+            let open = self.with_open(ctx, fd)?;
+            let n = self.do_pread(&open, buf, open.pos)?;
+            self.opens.with_mut(ctx.pid, fd, |o| o.pos += n as u64)?;
+            Ok(n)
         })
     }
 
     fn write(&self, ctx: &ProcCtx, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        self.sec.call(OpClass::Data, || {
-            self.measure(FsOp::Write, || {
-                let open = self.with_open(ctx, fd)?;
-                let off = if open.flags.append {
-                    open.ino.size(&self.region)
-                } else {
-                    open.pos
-                };
-                let n = self.do_pwrite(&open, data, off)?;
-                self.opens.with_mut(ctx.pid, fd, |o| o.pos = off + n as u64)?;
-                Ok(n)
-            })
+        self.protected_op(RequestKind::Write, OpClass::Data, || {
+            let open = self.with_open(ctx, fd)?;
+            let off = if open.flags.append {
+                open.ino.size(&self.region)
+            } else {
+                open.pos
+            };
+            let n = self.do_pwrite(&open, data, off)?;
+            self.opens.with_mut(ctx.pid, fd, |o| o.pos = off + n as u64)?;
+            Ok(n)
         })
     }
 
     fn pread(&self, ctx: &ProcCtx, fd: Fd, buf: &mut [u8], off: u64) -> FsResult<usize> {
-        self.sec.call(OpClass::Data, || {
-            self.measure(FsOp::Pread, || {
-                let open = self.with_open(ctx, fd)?;
-                self.do_pread(&open, buf, off)
-            })
+        self.protected_op(RequestKind::Pread, OpClass::Data, || {
+            let open = self.with_open(ctx, fd)?;
+            self.do_pread(&open, buf, off)
         })
     }
 
     fn pwrite(&self, ctx: &ProcCtx, fd: Fd, data: &[u8], off: u64) -> FsResult<usize> {
-        self.sec.call(OpClass::Data, || {
-            self.measure(FsOp::Pwrite, || {
-                let open = self.with_open(ctx, fd)?;
-                self.do_pwrite(&open, data, off)
-            })
+        self.protected_op(RequestKind::Pwrite, OpClass::Data, || {
+            let open = self.with_open(ctx, fd)?;
+            self.do_pwrite(&open, data, off)
         })
     }
 
     fn lseek(&self, ctx: &ProcCtx, fd: Fd, pos: SeekFrom) -> FsResult<u64> {
-        self.sec.call(OpClass::Ctl, || {
-            self.measure(FsOp::Lseek, || {
-                let open = self.with_open(ctx, fd)?;
-                let size = open.ino.size(&self.region);
-                self.opens.with_mut(ctx.pid, fd, |o| {
-                    let new = match pos {
-                        SeekFrom::Start(s) => s as i128,
-                        SeekFrom::Current(d) => o.pos as i128 + d as i128,
-                        SeekFrom::End(d) => size as i128 + d as i128,
-                    };
-                    if new < 0 {
-                        return Err(FsError::Invalid);
-                    }
-                    o.pos = new as u64;
-                    Ok(o.pos)
-                })?
-            })
+        self.protected_op(RequestKind::Lseek, OpClass::Ctl, || {
+            let open = self.with_open(ctx, fd)?;
+            let size = open.ino.size(&self.region);
+            self.opens.with_mut(ctx.pid, fd, |o| {
+                let new = match pos {
+                    SeekFrom::Start(s) => s as i128,
+                    SeekFrom::Current(d) => o.pos as i128 + d as i128,
+                    SeekFrom::End(d) => size as i128 + d as i128,
+                };
+                if new < 0 {
+                    return Err(FsError::Invalid);
+                }
+                o.pos = new as u64;
+                Ok(o.pos)
+            })?
         })
     }
 
     fn fsync(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<()> {
-        self.sec.call(OpClass::Ctl, || {
-            self.measure(FsOp::Fsync, || {
-                let _ = self.with_open(ctx, fd)?;
-                // Data is persisted eagerly on write; a final fence orders
-                // anything still pending.
-                self.region.fence();
-                Ok(())
-            })
+        self.protected_op(RequestKind::Fsync, OpClass::Ctl, || {
+            let _ = self.with_open(ctx, fd)?;
+            // Data is persisted eagerly on write; a final fence orders
+            // anything still pending.
+            self.region.fence();
+            Ok(())
         })
     }
 
     fn fstat(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<Stat> {
-        self.sec.call(OpClass::Walk, || {
-            self.measure(FsOp::Fstat, || {
-                let open = self.with_open(ctx, fd)?;
-                Ok(open.ino.stat(&self.region))
-            })
+        self.protected_op(RequestKind::Fstat, OpClass::Walk, || {
+            let open = self.with_open(ctx, fd)?;
+            Ok(open.ino.stat(&self.region))
         })
     }
 
     fn ftruncate(&self, ctx: &ProcCtx, fd: Fd, len: u64) -> FsResult<()> {
-        self.sec.call(OpClass::Data, || {
-            self.measure(FsOp::Ftruncate, || {
-                let open = self.with_open(ctx, fd)?;
-                if !open.flags.write {
-                    return Err(FsError::BadFd);
-                }
-                let env = self.file_env().with_cursor(&open.cursor);
-                let _w = file::lock_write(&env, open.ino);
-                file::truncate(&env, open.ino, len)
-            })
+        self.protected_op(RequestKind::Ftruncate, OpClass::Data, || {
+            let open = self.with_open(ctx, fd)?;
+            if !open.flags.write {
+                return Err(FsError::BadFd);
+            }
+            let env = self.file_env().with_cursor(&open.cursor);
+            let _w = file::lock_write(&env, open.ino);
+            file::truncate(&env, open.ino, len)
         })
     }
 
     fn fallocate(&self, ctx: &ProcCtx, fd: Fd, off: u64, len: u64) -> FsResult<()> {
-        self.sec.call(OpClass::Data, || {
-            self.measure(FsOp::Fallocate, || {
-                let open = self.with_open(ctx, fd)?;
-                if !open.flags.write {
-                    return Err(FsError::BadFd);
-                }
-                let env = self.file_env().with_cursor(&open.cursor);
-                let _w = file::lock_write(&env, open.ino);
-                file::fallocate(&env, open.ino, off, len)
-            })
+        self.protected_op(RequestKind::Fallocate, OpClass::Data, || {
+            let open = self.with_open(ctx, fd)?;
+            if !open.flags.write {
+                return Err(FsError::BadFd);
+            }
+            let env = self.file_env().with_cursor(&open.cursor);
+            let _w = file::lock_write(&env, open.ino);
+            file::fallocate(&env, open.ino, off, len)
         })
     }
 
     fn unlink(&self, ctx: &ProcCtx, p: &str) -> FsResult<()> {
-        self.sec.call(OpClass::Meta, || {
-            self.measure(FsOp::Unlink, || {
-                let (_, first, name) = self.resolve_parent(ctx, p)?;
-                let env = self.dir_env();
-                // Refuse directories (POSIX unlink semantics).
-                if let Some(fe) = dir::lookup(&env, first, name) {
-                    if fe.ftype(&self.region) == FileType::Directory {
-                        return Err(FsError::IsDir);
-                    }
+        self.protected_op(RequestKind::Unlink, OpClass::Meta, || {
+            let (_, first, name) = self.resolve_parent(ctx, p)?;
+            let env = self.dir_env();
+            // Refuse directories (POSIX unlink semantics).
+            if let Some(fe) = dir::lookup(&env, first, name) {
+                if fe.ftype(&self.region) == FileType::Directory {
+                    return Err(FsError::IsDir);
                 }
-                dir::remove(&env, first, name, |fe| {
-                    self.drop_link(Inode(fe.inode(&self.region)));
-                })
+            }
+            dir::remove(&env, first, name, |fe| {
+                self.drop_link(Inode(fe.inode(&self.region)));
             })
         })
     }
 
     fn mkdir(&self, ctx: &ProcCtx, p: &str, mode: FileMode) -> FsResult<()> {
-        self.sec.call(OpClass::Meta, || {
-            self.measure(FsOp::Mkdir, || {
-                let (_, first, name) = self.resolve_parent(ctx, p)?;
-                path::validate_name(name)?;
-                let env = self.dir_env();
-                // Group commit: inode + hash-block preparation persists
-                // coalesce into one fence before the block's dirty-bit clear
-                // (the first point a crash can observe the block as final).
-                let scope = self.region.fence_scope();
-                let ino = self.new_inode(ctx, FileMode::dir(mode.perm), 2)?;
-                let blk = match self.meta.alloc(PoolKind::DirBlock) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.meta.free(PoolKind::Inode, ino.ptr());
-                        return Err(e);
-                    }
-                };
-                DirBlock(blk).init(&self.region, true);
-                ino.set_extent(&self.region, 0, Extent { start: blk.off(), len: DIRBLOCK_SIZE });
-                scope.commit();
-                obj::clear_dirty(&self.region, blk);
-                self.index.mark_complete(blk);
-                self.index.set_tail(blk, blk);
-                match dir::insert(&env, first, name, FileType::Directory, ino.ptr()) {
-                    Ok(_) => Ok(()),
-                    Err(e) => {
-                        self.meta.free(PoolKind::DirBlock, blk);
-                        self.meta.free(PoolKind::Inode, ino.ptr());
-                        Err(e)
-                    }
+        self.protected_op(RequestKind::Mkdir, OpClass::Meta, || {
+            let (_, first, name) = self.resolve_parent(ctx, p)?;
+            path::validate_name(name)?;
+            let env = self.dir_env();
+            // Group commit: inode + hash-block preparation persists
+            // coalesce into one fence before the block's dirty-bit clear
+            // (the first point a crash can observe the block as final).
+            let scope = self.region.fence_scope();
+            let ino = self.new_inode(ctx, FileMode::dir(mode.perm), 2)?;
+            let blk = match self.meta.alloc(PoolKind::DirBlock) {
+                Ok(b) => b,
+                Err(e) => {
+                    self.meta.free(PoolKind::Inode, ino.ptr());
+                    return Err(e);
                 }
-            })
+            };
+            DirBlock(blk).init(&self.region, true);
+            ino.set_extent(&self.region, 0, Extent { start: blk.off(), len: DIRBLOCK_SIZE });
+            scope.commit();
+            obj::clear_dirty(&self.region, blk);
+            self.index.mark_complete(blk);
+            self.index.set_tail(blk, blk);
+            match dir::insert(&env, first, name, FileType::Directory, ino.ptr()) {
+                Ok(_) => Ok(()),
+                Err(e) => {
+                    self.meta.free(PoolKind::DirBlock, blk);
+                    self.meta.free(PoolKind::Inode, ino.ptr());
+                    Err(e)
+                }
+            }
         })
     }
 
     fn rmdir(&self, ctx: &ProcCtx, p: &str) -> FsResult<()> {
-        self.sec.call(OpClass::Meta, || {
-            self.measure(FsOp::Rmdir, || {
-                let (_, first, name) = self.resolve_parent(ctx, p)?;
-                let env = self.dir_env();
-                let fe = dir::lookup(&env, first, name).ok_or(FsError::NotFound)?;
-                if fe.ftype(&self.region) != FileType::Directory {
-                    return Err(FsError::NotDir);
-                }
-                let child = Inode(fe.inode(&self.region));
-                let child_blk = self.dir_block_of(child)?;
-                if !dir::is_empty(&env, child_blk) {
-                    return Err(FsError::NotEmpty);
-                }
-                dir::remove(&env, first, name, |fe| {
-                    // Directories cannot be hard-linked: retire the inode
-                    // outright (its conventional nlink of 2 counts the
-                    // self-reference, which dies with the directory).
-                    let ino = Inode(fe.inode(&self.region));
-                    ino.set_nlink(&self.region, 1);
-                    self.drop_link(ino);
-                })?;
-                Ok(())
-            })
+        self.protected_op(RequestKind::Rmdir, OpClass::Meta, || {
+            let (_, first, name) = self.resolve_parent(ctx, p)?;
+            let env = self.dir_env();
+            let fe = dir::lookup(&env, first, name).ok_or(FsError::NotFound)?;
+            if fe.ftype(&self.region) != FileType::Directory {
+                return Err(FsError::NotDir);
+            }
+            let child = Inode(fe.inode(&self.region));
+            let child_blk = self.dir_block_of(child)?;
+            if !dir::is_empty(&env, child_blk) {
+                return Err(FsError::NotEmpty);
+            }
+            dir::remove(&env, first, name, |fe| {
+                // Directories cannot be hard-linked: retire the inode
+                // outright (its conventional nlink of 2 counts the
+                // self-reference, which dies with the directory).
+                let ino = Inode(fe.inode(&self.region));
+                ino.set_nlink(&self.region, 1);
+                self.drop_link(ino);
+            })?;
+            Ok(())
         })
     }
 
     fn rename(&self, ctx: &ProcCtx, old: &str, new: &str) -> FsResult<()> {
-        self.sec.call(OpClass::Meta, || {
-            self.measure(FsOp::Rename, || {
-                let (_, src_blk, old_name) = self.resolve_parent(ctx, old)?;
-                let (_, dst_blk, new_name) = self.resolve_parent(ctx, new)?;
-                path::validate_name(new_name)?;
-                let env = self.dir_env();
-                let src_fe = dir::lookup(&env, src_blk, old_name).ok_or(FsError::NotFound)?;
-                let moving_dir = src_fe.ftype(&self.region) == FileType::Directory;
-                if moving_dir {
-                    let oc = path::components(old)?;
-                    let nc = path::components(new)?;
-                    if path::is_descendant(&oc, &nc) {
-                        return Err(FsError::Invalid);
-                    }
+        self.protected_op(RequestKind::Rename, OpClass::Meta, || {
+            let (_, src_blk, old_name) = self.resolve_parent(ctx, old)?;
+            let (_, dst_blk, new_name) = self.resolve_parent(ctx, new)?;
+            path::validate_name(new_name)?;
+            let env = self.dir_env();
+            let src_fe = dir::lookup(&env, src_blk, old_name).ok_or(FsError::NotFound)?;
+            let moving_dir = src_fe.ftype(&self.region) == FileType::Directory;
+            if moving_dir {
+                let oc = path::components(old)?;
+                let nc = path::components(new)?;
+                if path::is_descendant(&oc, &nc) {
+                    return Err(FsError::Invalid);
                 }
-                // Target compatibility checks (POSIX rename).
-                if let Some(tfe) = dir::lookup(&env, dst_blk, new_name) {
-                    if tfe.inode(&self.region) == src_fe.inode(&self.region) {
-                        // Hard links to the same inode: rename is a no-op
-                        // that leaves both names (POSIX).
-                        return Ok(());
-                    }
-                    let target_dir = tfe.ftype(&self.region) == FileType::Directory;
-                    match (moving_dir, target_dir) {
-                        (true, false) => return Err(FsError::NotDir),
-                        (false, true) => return Err(FsError::IsDir),
-                        (true, true) => {
-                            let t = Inode(tfe.inode(&self.region));
-                            if !dir::is_empty(&env, self.dir_block_of(t)?) {
-                                return Err(FsError::NotEmpty);
-                            }
+            }
+            // Target compatibility checks (POSIX rename).
+            if let Some(tfe) = dir::lookup(&env, dst_blk, new_name) {
+                if tfe.inode(&self.region) == src_fe.inode(&self.region) {
+                    // Hard links to the same inode: rename is a no-op
+                    // that leaves both names (POSIX).
+                    return Ok(());
+                }
+                let target_dir = tfe.ftype(&self.region) == FileType::Directory;
+                match (moving_dir, target_dir) {
+                    (true, false) => return Err(FsError::NotDir),
+                    (false, true) => return Err(FsError::IsDir),
+                    (true, true) => {
+                        let t = Inode(tfe.inode(&self.region));
+                        if !dir::is_empty(&env, self.dir_block_of(t)?) {
+                            return Err(FsError::NotEmpty);
                         }
-                        (false, false) => {}
                     }
+                    (false, false) => {}
                 }
-                let dispose = |fe: crate::obj::fentry::FileEntry| {
-                    self.drop_link(Inode(fe.inode(&self.region)));
-                };
-                if src_blk == dst_blk {
-                    dir::rename_same_dir(&env, src_blk, old_name, new_name, dispose)
-                } else {
-                    dir::rename_cross_dir(&env, src_blk, old_name, dst_blk, new_name, dispose)
-                }
-            })
+            }
+            let dispose = |fe: crate::obj::fentry::FileEntry| {
+                self.drop_link(Inode(fe.inode(&self.region)));
+            };
+            if src_blk == dst_blk {
+                dir::rename_same_dir(&env, src_blk, old_name, new_name, dispose)
+            } else {
+                dir::rename_cross_dir(&env, src_blk, old_name, dst_blk, new_name, dispose)
+            }
         })
     }
 
     fn stat(&self, ctx: &ProcCtx, p: &str) -> FsResult<Stat> {
-        self.sec.call(OpClass::Walk, || {
-            self.measure(FsOp::Stat, || {
-                let ino = self.resolve(ctx, p, true)?;
-                Ok(ino.stat(&self.region))
-            })
+        self.protected_op(RequestKind::Stat, OpClass::Walk, || {
+            let ino = self.resolve(ctx, p, true)?;
+            Ok(ino.stat(&self.region))
         })
     }
 
     fn readdir(&self, ctx: &ProcCtx, p: &str) -> FsResult<Vec<DirEntry>> {
-        self.sec.call(OpClass::Walk, || {
-            self.measure(FsOp::Readdir, || {
-                let ino = self.resolve(ctx, p, true)?;
-                self.check_perm(ctx, ino, access::R)?;
-                let first = self.dir_block_of(ino)?;
-                let env = self.dir_env();
-                let mut entries: Vec<DirEntry> = dir::scan(&env, first)
-                    .into_iter()
-                    .map(|(name, ftype, inode)| DirEntry { name, ftype, ino: inode.off() })
-                    .collect();
-                entries.sort_by(|a, b| a.name.cmp(&b.name));
-                Ok(entries)
-            })
+        self.protected_op(RequestKind::Readdir, OpClass::Walk, || {
+            let ino = self.resolve(ctx, p, true)?;
+            self.check_perm(ctx, ino, access::R)?;
+            let first = self.dir_block_of(ino)?;
+            let env = self.dir_env();
+            let mut entries: Vec<DirEntry> = dir::scan(&env, first)
+                .into_iter()
+                .map(|(name, ftype, inode)| DirEntry { name, ftype, ino: inode.off() })
+                .collect();
+            entries.sort_by(|a, b| a.name.cmp(&b.name));
+            Ok(entries)
         })
     }
 
     fn symlink(&self, ctx: &ProcCtx, target: &str, linkpath: &str) -> FsResult<()> {
-        self.sec.call(OpClass::Meta, || {
-            self.measure(FsOp::Symlink, || {
-                let (_, first, name) = self.resolve_parent(ctx, linkpath)?;
-                path::validate_name(name)?;
-                let env = self.dir_env();
-                // Group commit over the inode claim + init only: the target
-                // write below relies on the data path's own data-before-size
-                // fencing, so the scope must not extend over it.
-                let scope = self.region.fence_scope();
-                let ino = self.new_inode(ctx, FileMode::symlink(), 1)?;
-                scope.commit();
-                drop(scope);
-                let fenv = self.file_env();
-                if let Err(e) = file::write_at(&fenv, ino, 0, target.as_bytes()) {
+        self.protected_op(RequestKind::Symlink, OpClass::Meta, || {
+            let (_, first, name) = self.resolve_parent(ctx, linkpath)?;
+            path::validate_name(name)?;
+            let env = self.dir_env();
+            // Group commit over the inode claim + init only: the target
+            // write below relies on the data path's own data-before-size
+            // fencing, so the scope must not extend over it.
+            let scope = self.region.fence_scope();
+            let ino = self.new_inode(ctx, FileMode::symlink(), 1)?;
+            scope.commit();
+            drop(scope);
+            let fenv = self.file_env();
+            if let Err(e) = file::write_at(&fenv, ino, 0, target.as_bytes()) {
+                file::free_all(&fenv, ino);
+                self.meta.free(PoolKind::Inode, ino.ptr());
+                return Err(e);
+            }
+            match dir::insert(&env, first, name, FileType::Symlink, ino.ptr()) {
+                Ok(_) => Ok(()),
+                Err(e) => {
                     file::free_all(&fenv, ino);
                     self.meta.free(PoolKind::Inode, ino.ptr());
-                    return Err(e);
+                    Err(e)
                 }
-                match dir::insert(&env, first, name, FileType::Symlink, ino.ptr()) {
-                    Ok(_) => Ok(()),
-                    Err(e) => {
-                        file::free_all(&fenv, ino);
-                        self.meta.free(PoolKind::Inode, ino.ptr());
-                        Err(e)
-                    }
-                }
-            })
+            }
         })
     }
 
     fn readlink(&self, ctx: &ProcCtx, p: &str) -> FsResult<String> {
-        self.sec.call(OpClass::Walk, || {
-            self.measure(FsOp::Readlink, || {
-                let ino = self.resolve(ctx, p, false)?;
-                if ino.mode(&self.region).ftype != FileType::Symlink {
-                    return Err(FsError::Invalid);
-                }
-                self.read_symlink(ino)
-            })
+        self.protected_op(RequestKind::Readlink, OpClass::Walk, || {
+            let ino = self.resolve(ctx, p, false)?;
+            if ino.mode(&self.region).ftype != FileType::Symlink {
+                return Err(FsError::Invalid);
+            }
+            self.read_symlink(ino)
         })
     }
 
     fn link(&self, ctx: &ProcCtx, existing: &str, new: &str) -> FsResult<()> {
-        self.sec.call(OpClass::Meta, || {
-            self.measure(FsOp::Link, || {
-                let ino = self.resolve(ctx, existing, false)?;
-                let ftype = ino.mode(&self.region).ftype;
-                if ftype == FileType::Directory {
-                    return Err(FsError::IsDir);
+        self.protected_op(RequestKind::Link, OpClass::Meta, || {
+            let ino = self.resolve(ctx, existing, false)?;
+            let ftype = ino.mode(&self.region).ftype;
+            if ftype == FileType::Directory {
+                return Err(FsError::IsDir);
+            }
+            let (_, first, name) = self.resolve_parent(ctx, new)?;
+            path::validate_name(name)?;
+            let env = self.dir_env();
+            ino.set_nlink(&self.region, ino.nlink(&self.region) + 1);
+            match dir::insert(&env, first, name, ftype, ino.ptr()) {
+                Ok(_) => Ok(()),
+                Err(e) => {
+                    ino.set_nlink(&self.region, ino.nlink(&self.region) - 1);
+                    Err(e)
                 }
-                let (_, first, name) = self.resolve_parent(ctx, new)?;
-                path::validate_name(name)?;
-                let env = self.dir_env();
-                ino.set_nlink(&self.region, ino.nlink(&self.region) + 1);
-                match dir::insert(&env, first, name, ftype, ino.ptr()) {
-                    Ok(_) => Ok(()),
-                    Err(e) => {
-                        ino.set_nlink(&self.region, ino.nlink(&self.region) - 1);
-                        Err(e)
-                    }
-                }
-            })
+            }
         })
     }
 
     fn chmod(&self, ctx: &ProcCtx, p: &str, perm: u16) -> FsResult<()> {
-        self.sec.call(OpClass::Ctl, || {
-            self.measure(FsOp::Chmod, || {
-                let ino = self.resolve(ctx, p, true)?;
-                if ctx.creds.uid != 0 && ctx.creds.uid != ino.uid(&self.region) {
-                    return Err(FsError::Access);
-                }
-                let mut m = ino.mode(&self.region);
-                m.perm = perm & 0o777;
-                ino.set_mode(&self.region, m);
-                self.region.persist(ino.ptr().add(8), 4);
-                Ok(())
-            })
+        self.protected_op(RequestKind::Chmod, OpClass::Ctl, || {
+            let ino = self.resolve(ctx, p, true)?;
+            if ctx.creds.uid != 0 && ctx.creds.uid != ino.uid(&self.region) {
+                return Err(FsError::Access);
+            }
+            let mut m = ino.mode(&self.region);
+            m.perm = perm & 0o777;
+            ino.set_mode(&self.region, m);
+            self.region.persist(ino.ptr().add(8), 4);
+            Ok(())
         })
     }
 
     fn statfs(&self, _ctx: &ProcCtx) -> FsResult<FsStats> {
-        self.sec.call(OpClass::Ctl, || {
-            self.measure(FsOp::Statfs, || {
-                Ok(FsStats {
-                    total_bytes: self.region.len() as u64,
-                    free_bytes: self.blocks.free_blocks() * crate::BLOCK_SIZE as u64,
-                    block_size: crate::BLOCK_SIZE as u32,
-                })
+        self.protected_op(RequestKind::Statfs, OpClass::Ctl, || {
+            Ok(FsStats {
+                total_bytes: self.region.len() as u64,
+                free_bytes: self.blocks.free_blocks() * crate::BLOCK_SIZE as u64,
+                block_size: crate::BLOCK_SIZE as u32,
             })
         })
     }
 
     fn set_times(&self, ctx: &ProcCtx, p: &str, atime: u64, mtime: u64) -> FsResult<()> {
-        self.sec.call(OpClass::Ctl, || {
-            self.measure(FsOp::SetTimes, || {
-                let ino = self.resolve(ctx, p, true)?;
-                if ctx.creds.uid != 0 && ctx.creds.uid != ino.uid(&self.region) {
-                    return Err(FsError::Access);
-                }
-                ino.set_atime(&self.region, atime);
-                ino.set_mtime(&self.region, mtime);
-                self.region.persist(ino.ptr().add(32), 16);
-                Ok(())
-            })
+        self.protected_op(RequestKind::SetTimes, OpClass::Ctl, || {
+            let ino = self.resolve(ctx, p, true)?;
+            if ctx.creds.uid != 0 && ctx.creds.uid != ino.uid(&self.region) {
+                return Err(FsError::Access);
+            }
+            ino.set_atime(&self.region, atime);
+            ino.set_mtime(&self.region, mtime);
+            self.region.persist(ino.ptr().add(32), 16);
+            Ok(())
         })
     }
 }

@@ -11,9 +11,10 @@
 //!    injector) plus per-op latency histograms, rendered by one
 //!    [`ObsRegistry::to_json`] (exported as `paper obs [--json]`).
 //! 2. **Latency histograms** — log2-bucket [`Histogram`]s around every
-//!    `FileSystem` op and each mount/recovery phase, driven by the RAII
-//!    [`OpTimer`] and reported per op as count/p50/p99/max. Recording is two
-//!    relaxed atomic RMWs per op; quantiles are computed at snapshot time.
+//!    `FileSystem` op (keyed by the wire table's `RequestKind`) and each
+//!    mount/recovery [`Phase`], driven by [`ObsRegistry::time_op`] and
+//!    reported per op as count/p50/p99/max. Recording is two relaxed atomic
+//!    RMWs per op; quantiles are computed at snapshot time.
 //! 3. **Trace ring** — a lock-free fixed-size per-thread ring of
 //!    [`TraceEvent`]s ([`trace`]) recording op begin/end, `TsLock` steals,
 //!    busy-flag timeouts, alloc-fault injections and sfence boundaries.
@@ -31,38 +32,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use simurgh_fsapi::wire::RequestKind;
+use simurgh_fsapi::{OpTimers, TimerCategory};
+
 // ---------------------------------------------------------------------------
-// Op vocabulary
+// Phase vocabulary
 // ---------------------------------------------------------------------------
 
-/// Everything the registry keeps a latency histogram for: the 23 public
-/// `FileSystem` ops plus the mount/recovery phases.
+/// Mount and recovery phases. Each gets a latency histogram next to the
+/// per-op ones, which are keyed by the wire table's [`RequestKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum FsOp {
-    Open,
-    Close,
-    Read,
-    Write,
-    Pread,
-    Pwrite,
-    Lseek,
-    Fstat,
-    Stat,
-    Fsync,
-    Ftruncate,
-    Fallocate,
-    Unlink,
-    Mkdir,
-    Rmdir,
-    Readdir,
-    Rename,
-    Symlink,
-    Readlink,
-    Link,
-    Chmod,
-    Statfs,
-    SetTimes,
+pub enum Phase {
     Mount,
     RecoverMark,
     RecoverRepair,
@@ -70,73 +50,24 @@ pub enum FsOp {
     RecoverRebuild,
 }
 
-impl FsOp {
-    /// Number of histogram slots.
-    pub const COUNT: usize = 28;
-
-    /// Every op, in histogram-index order.
-    pub const ALL: [FsOp; FsOp::COUNT] = [
-        FsOp::Open,
-        FsOp::Close,
-        FsOp::Read,
-        FsOp::Write,
-        FsOp::Pread,
-        FsOp::Pwrite,
-        FsOp::Lseek,
-        FsOp::Fstat,
-        FsOp::Stat,
-        FsOp::Fsync,
-        FsOp::Ftruncate,
-        FsOp::Fallocate,
-        FsOp::Unlink,
-        FsOp::Mkdir,
-        FsOp::Rmdir,
-        FsOp::Readdir,
-        FsOp::Rename,
-        FsOp::Symlink,
-        FsOp::Readlink,
-        FsOp::Link,
-        FsOp::Chmod,
-        FsOp::Statfs,
-        FsOp::SetTimes,
-        FsOp::Mount,
-        FsOp::RecoverMark,
-        FsOp::RecoverRepair,
-        FsOp::RecoverSweep,
-        FsOp::RecoverRebuild,
+impl Phase {
+    /// Every phase, in histogram-index order.
+    pub const ALL: [Phase; 5] = [
+        Phase::Mount,
+        Phase::RecoverMark,
+        Phase::RecoverRepair,
+        Phase::RecoverSweep,
+        Phase::RecoverRebuild,
     ];
 
-    /// Stable lowercase name used as the JSON key and in trace rendering.
+    /// Stable lowercase name used as the JSON key.
     pub fn name(self) -> &'static str {
         match self {
-            FsOp::Open => "open",
-            FsOp::Close => "close",
-            FsOp::Read => "read",
-            FsOp::Write => "write",
-            FsOp::Pread => "pread",
-            FsOp::Pwrite => "pwrite",
-            FsOp::Lseek => "lseek",
-            FsOp::Fstat => "fstat",
-            FsOp::Stat => "stat",
-            FsOp::Fsync => "fsync",
-            FsOp::Ftruncate => "ftruncate",
-            FsOp::Fallocate => "fallocate",
-            FsOp::Unlink => "unlink",
-            FsOp::Mkdir => "mkdir",
-            FsOp::Rmdir => "rmdir",
-            FsOp::Readdir => "readdir",
-            FsOp::Rename => "rename",
-            FsOp::Symlink => "symlink",
-            FsOp::Readlink => "readlink",
-            FsOp::Link => "link",
-            FsOp::Chmod => "chmod",
-            FsOp::Statfs => "statfs",
-            FsOp::SetTimes => "set_times",
-            FsOp::Mount => "mount",
-            FsOp::RecoverMark => "recover_mark",
-            FsOp::RecoverRepair => "recover_repair",
-            FsOp::RecoverSweep => "recover_sweep",
-            FsOp::RecoverRebuild => "recover_rebuild",
+            Phase::Mount => "mount",
+            Phase::RecoverMark => "recover_mark",
+            Phase::RecoverRepair => "recover_repair",
+            Phase::RecoverSweep => "recover_sweep",
+            Phase::RecoverRebuild => "recover_rebuild",
         }
     }
 }
@@ -231,26 +162,6 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// RAII op timer
-// ---------------------------------------------------------------------------
-
-/// Times one op from construction to drop, recording into the registry's
-/// histogram and emitting `OpBegin`/`OpEnd` trace events.
-pub struct OpTimer<'a> {
-    hist: &'a Histogram,
-    op: FsOp,
-    start: Instant,
-}
-
-impl Drop for OpTimer<'_> {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.hist.record(ns);
-        trace(EventKind::OpEnd, self.op as u64, ns);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Gateway counters
 // ---------------------------------------------------------------------------
 
@@ -338,10 +249,11 @@ impl GatewayStats {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// One latency histogram per [`FsOp`], plus the single `to_json` front door
-/// for every counter surface in the workspace.
+/// One latency histogram per wire op and per [`Phase`], plus the single
+/// `to_json` front door for every counter surface in the workspace.
 pub struct ObsRegistry {
-    hists: [Histogram; FsOp::COUNT],
+    ops: [Histogram; RequestKind::COUNT],
+    phases: [Histogram; Phase::ALL.len()],
     /// Serving-gateway counters (`simurgh-served`); zero when this mount
     /// is not behind a daemon.
     pub gateway: GatewayStats,
@@ -353,49 +265,65 @@ impl Default for ObsRegistry {
     }
 }
 
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
 impl ObsRegistry {
     /// An empty registry (all histograms zero).
     pub fn new() -> Self {
         ObsRegistry {
-            hists: std::array::from_fn(|_| Histogram::new()),
+            ops: std::array::from_fn(|_| Histogram::new()),
+            phases: std::array::from_fn(|_| Histogram::new()),
             gateway: GatewayStats::new(),
         }
     }
 
-    /// Starts timing `op`; the returned guard records on drop.
-    pub fn timer(&self, op: FsOp) -> OpTimer<'_> {
-        trace(EventKind::OpBegin, op as u64, 0);
-        OpTimer { hist: &self.hists[op as usize], op, start: Instant::now() }
+    /// Runs one `FileSystem` op between `OpBegin`/`OpEnd` trace events and
+    /// reads the clock once around it: that one duration feeds both the
+    /// op's latency histogram and the `Fs` share of `timers`.
+    pub fn time_op<R>(&self, kind: RequestKind, timers: &OpTimers, f: impl FnOnce() -> R) -> R {
+        trace(EventKind::OpBegin, kind as u64, 0);
+        let start = Instant::now();
+        let out = f();
+        let ns = nanos(start.elapsed());
+        self.ops[kind as usize].record(ns);
+        timers.charge(TimerCategory::Fs, ns);
+        trace(EventKind::OpEnd, kind as u64, ns);
+        out
     }
 
-    /// Records an externally measured duration (mount/recovery phases).
-    pub fn record(&self, op: FsOp, d: Duration) {
-        self.hists[op as usize].record(d.as_nanos().min(u64::MAX as u128) as u64);
+    /// Records an externally measured mount/recovery phase duration.
+    pub fn record_phase(&self, phase: Phase, d: Duration) {
+        self.phases[phase as usize].record(nanos(d));
     }
 
     /// Quantile summary for one op.
-    pub fn snapshot(&self, op: FsOp) -> HistSnapshot {
-        self.hists[op as usize].snapshot()
+    pub fn snapshot(&self, kind: RequestKind) -> HistSnapshot {
+        self.ops[kind as usize].snapshot()
     }
 
-    /// The `"latency"` JSON object: one entry per op with at least one
-    /// sample, as `{"count":…,"p50_ns":…,"p99_ns":…,"max_ns":…}`.
+    /// `(name, summary)` of every op (by trait method name) and then every
+    /// phase, including empty ones.
+    pub fn latencies(&self) -> impl Iterator<Item = (&'static str, HistSnapshot)> + '_ {
+        let ops = RequestKind::ALL.into_iter().map(|k| (k.method_name(), self.snapshot(k)));
+        let phases = Phase::ALL.into_iter().map(|p| (p.name(), self.phases[p as usize].snapshot()));
+        ops.chain(phases)
+    }
+
+    /// The `"latency"` JSON object: one entry per op or phase with at least
+    /// one sample, as `{"count":…,"p50_ns":…,"p99_ns":…,"max_ns":…}`.
     pub fn latency_json(&self) -> String {
-        let mut entries = Vec::new();
-        for op in FsOp::ALL {
-            let s = self.snapshot(op);
-            if s.count == 0 {
-                continue;
-            }
-            entries.push(format!(
-                "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                op.name(),
-                s.count,
-                s.p50_ns,
-                s.p99_ns,
-                s.max_ns
-            ));
-        }
+        let entries: Vec<String> = self
+            .latencies()
+            .filter(|(_, s)| s.count > 0)
+            .map(|(name, s)| {
+                format!(
+                    "\"{name}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
+                    s.count, s.p50_ns, s.p99_ns, s.max_ns
+                )
+            })
+            .collect();
         format!("{{{}}}", entries.join(","))
     }
 
@@ -421,7 +349,7 @@ impl ObsRegistry {
         dir: &crate::dir::DirStatsSnapshot,
         data: &crate::file::DataStatsSnapshot,
         pmem: &simurgh_pmem::stats::StatsSnapshot,
-        timers: &simurgh_fsapi::OpTimers,
+        timers: &OpTimers,
         faults: &crate::alloc::AllocFaults,
         meta: &crate::alloc::MetaAllocator,
         blocks: &crate::alloc::BlockAlloc,
@@ -462,7 +390,7 @@ pub const RING_EVENTS: usize = 1024;
 ///
 /// | kind | `a` | `b` |
 /// |---|---|---|
-/// | `OpBegin` / `OpEnd` | [`FsOp`] index | 0 / duration ns |
+/// | `OpBegin` / `OpEnd` | [`RequestKind`] index | 0 / duration ns |
 /// | `LockSteal` (TsLock) | victim stamp (µs) | thief stamp (µs) |
 /// | `LockSteal` (busy line) | first hash block offset | line index |
 /// | `BusyTimeout` | lock/flag address or line | observed word |
@@ -523,9 +451,8 @@ impl TraceEvent {
     /// need JSON escaping, so flight-recorder dumps embed it verbatim.
     pub fn render(&self) -> String {
         let head = format!("t{} #{}", self.tid, self.seq);
-        let op_name = |idx: u64| {
-            FsOp::ALL.get(idx as usize).map(|o| o.name()).unwrap_or("?")
-        };
+        let op_name =
+            |idx: u64| RequestKind::ALL.get(idx as usize).map_or("?", |k| k.method_name());
         match self.kind {
             EventKind::OpBegin => format!("{head} op_begin {}", op_name(self.a)),
             EventKind::OpEnd => format!("{head} op_end {} dur_ns={}", op_name(self.a), self.b),
@@ -692,18 +619,17 @@ mod tests {
     #[test]
     fn timer_records_into_registry_and_ring() {
         let reg = ObsRegistry::new();
-        {
-            let _t = reg.timer(FsOp::Mkdir);
-        }
-        let s = reg.snapshot(FsOp::Mkdir);
+        let timers = OpTimers::default();
+        assert_eq!(reg.time_op(RequestKind::Mkdir, &timers, || 7), 7);
+        let s = reg.snapshot(RequestKind::Mkdir);
         assert_eq!(s.count, 1);
+        // The same single reading feeds the Table 1 `Fs` share.
+        assert_eq!(timers.ops(), 1);
+        assert_eq!(timers.fs_ns(), s.max_ns);
         let evs = recent(RING_EVENTS);
-        let begin = evs
-            .iter()
-            .any(|e| e.kind == EventKind::OpBegin && e.a == FsOp::Mkdir as u64);
-        let end = evs
-            .iter()
-            .any(|e| e.kind == EventKind::OpEnd && e.a == FsOp::Mkdir as u64);
+        let op = RequestKind::Mkdir as u64;
+        let begin = evs.iter().any(|e| e.kind == EventKind::OpBegin && e.a == op);
+        let end = evs.iter().any(|e| e.kind == EventKind::OpEnd && e.a == op);
         assert!(begin && end, "{evs:?}");
     }
 
@@ -744,12 +670,17 @@ mod tests {
 
     #[test]
     fn op_names_are_unique_and_indexed() {
-        let mut names: Vec<&str> = FsOp::ALL.iter().map(|o| o.name()).collect();
+        let reg = ObsRegistry::new();
+        let mut names: Vec<&str> = reg.latencies().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), RequestKind::COUNT + Phase::ALL.len());
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), FsOp::COUNT);
-        for (i, op) in FsOp::ALL.iter().enumerate() {
-            assert_eq!(*op as usize, i);
+        assert_eq!(names.len(), RequestKind::COUNT + Phase::ALL.len());
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*phase as usize, i);
+        }
+        for (i, kind) in RequestKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
         }
     }
 }

@@ -36,7 +36,14 @@ impl OpTimers {
     pub fn time<R>(&self, cat: TimerCategory, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
-        let ns = start.elapsed().as_nanos() as u64;
+        self.charge(cat, start.elapsed().as_nanos() as u64);
+        out
+    }
+
+    /// Charges `ns` already measured by the caller to `cat`; an `Fs`
+    /// charge counts one op.
+    #[inline]
+    pub fn charge(&self, cat: TimerCategory, ns: u64) {
         match cat {
             TimerCategory::Fs => {
                 self.fs_ns.fetch_add(ns, Ordering::Relaxed);
@@ -46,7 +53,6 @@ impl OpTimers {
                 self.copy_ns.fetch_add(ns, Ordering::Relaxed);
             }
         }
-        out
     }
 
     /// Total nanoseconds charged to file-system code (copies included;

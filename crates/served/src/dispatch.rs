@@ -1,8 +1,8 @@
 //! Request → trait-call → response translation, one arm per wire op.
 //!
-//! The `wire-parity` rule in `simurgh-analyze` checks this file: every
-//! `Request` variant must appear as an arm of [`dispatch`], so a wire op
-//! added to `fsapi` without a handler here fails tier-1.
+//! [`dispatch`] is an exhaustive `match` over `Request` with no wildcard
+//! arm, so a row added to the wire table in `fsapi` without a handler here
+//! fails to compile.
 
 use std::collections::HashSet;
 

@@ -14,8 +14,8 @@
 //!   drained into one burst and executed under a single persistence
 //!   batch.
 //! * [`dispatch`] — `Request` → trait call → `Response`, one arm per wire
-//!   op (checked by the analyzer's `wire-parity` rule), with server-side
-//!   fd tracking for crash reaping.
+//!   op (an exhaustive `match`, so a missing arm fails to compile), with
+//!   server-side fd tracking for crash reaping.
 //! * [`batch`] — the [`Served`] extension trait: fence-scope batching and
 //!   the gateway counter battery.
 //! * [`loadgen`] — the measurement client: hundreds of connections,

@@ -7,7 +7,8 @@
 //! every step must agree on outcome class, payloads and metadata. The
 //! script is checked to cover *all* `RequestKind`s, so adding a wire op
 //! without extending the conformance script fails here (and adding a
-//! trait method without a wire op fails the analyzer's wire-parity rule).
+//! trait method without a wire row fails the fsapi unit test
+//! `every_trait_method_has_a_row`).
 
 use std::collections::HashSet;
 
