@@ -829,17 +829,22 @@ impl SimurghFs {
         self.opens.with(ctx.pid, fd, |o| o.clone())
     }
 
-    fn do_pwrite(&self, open: &OpenFile, data: &[u8], off: u64) -> FsResult<usize> {
+    /// Writes `data` at `off`, or at end of file when `off` is `None`
+    /// (O_APPEND). The end-of-file offset is read under the file write
+    /// lock, so concurrent appenders never get the same offset. Returns
+    /// the offset written at and the byte count.
+    fn do_pwrite(&self, open: &OpenFile, data: &[u8], off: Option<u64>) -> FsResult<(u64, usize)> {
         if !open.flags.write {
             return Err(FsError::BadFd);
         }
         let env = self.file_env().with_cursor(&open.cursor);
         let _w = file::lock_write(&env, open.ino);
+        let off = off.unwrap_or_else(|| open.ino.size(&self.region));
         let n = self
             .timers
             .time(TimerCategory::Copy, || file::write_at(&env, open.ino, off, data))?;
         open.ino.set_mtime(&self.region, self.now());
-        Ok(n)
+        Ok((off, n))
     }
 
     fn do_pread(&self, open: &OpenFile, buf: &mut [u8], off: u64) -> FsResult<usize> {
@@ -985,12 +990,8 @@ impl FileSystem for SimurghFs {
     fn write(&self, ctx: &ProcCtx, fd: Fd, data: &[u8]) -> FsResult<usize> {
         self.protected_op(RequestKind::Write, OpClass::Data, || {
             let open = self.with_open(ctx, fd)?;
-            let off = if open.flags.append {
-                open.ino.size(&self.region)
-            } else {
-                open.pos
-            };
-            let n = self.do_pwrite(&open, data, off)?;
+            let at = if open.flags.append { None } else { Some(open.pos) };
+            let (off, n) = self.do_pwrite(&open, data, at)?;
             self.opens.with_mut(ctx.pid, fd, |o| o.pos = off + n as u64)?;
             Ok(n)
         })
@@ -1006,7 +1007,7 @@ impl FileSystem for SimurghFs {
     fn pwrite(&self, ctx: &ProcCtx, fd: Fd, data: &[u8], off: u64) -> FsResult<usize> {
         self.protected_op(RequestKind::Pwrite, OpClass::Data, || {
             let open = self.with_open(ctx, fd)?;
-            self.do_pwrite(&open, data, off)
+            Ok(self.do_pwrite(&open, data, Some(off))?.1)
         })
     }
 

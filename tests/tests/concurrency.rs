@@ -154,7 +154,7 @@ fn concurrent_appends_to_shared_file_with_lock() {
             s.spawn(move |_| {
                 let ctx = ProcCtx::root(t + 1);
                 let fd = fs.open(&ctx, "/log", OpenFlags::APPEND, FileMode::default()).unwrap();
-                for _ in 0..50 {
+                for _ in 0..2000 {
                     fs.write(&ctx, fd, &[b'a' + t as u8; 64]).unwrap();
                 }
                 fs.close(&ctx, fd).unwrap();
@@ -163,7 +163,7 @@ fn concurrent_appends_to_shared_file_with_lock() {
     })
     .unwrap();
     let data = fs.read_to_vec(&root, "/log").unwrap();
-    assert_eq!(data.len(), 4 * 50 * 64, "no append lost");
+    assert_eq!(data.len(), 4 * 2000 * 64, "no append lost");
     // Each 64-byte record is homogeneous (no torn interleaving).
     for chunk in data.chunks(64) {
         assert!(chunk.iter().all(|&b| b == chunk[0]), "torn append record");
