@@ -748,20 +748,17 @@ impl SimurghFs {
         Ok(ino)
     }
 
-    /// Drops one link of `ino`; frees inode + data when the last link dies
-    /// and no descriptor holds it open (orphan handling like POSIX).
+    /// Drops one link of `ino`. Only the caller whose drop takes the count
+    /// from 1 to 0 retires the inode: it frees inode + data, or orphans it
+    /// while a descriptor holds it open (POSIX).
     fn drop_link(&self, ino: Inode) {
-        let r = &*self.region;
-        let nlink = ino.nlink(r).saturating_sub(1);
-        if nlink > 0 {
-            ino.set_nlink(r, nlink);
+        if ino.dec_nlink(&self.region) != Some(1) {
             return;
         }
         let mut states = self.open_state_shard(ino).lock();
         if let Some(s) = states.get_mut(&ino.ptr().off()) {
             if s.refs > 0 {
                 s.orphaned = true;
-                ino.set_nlink(r, 0);
                 return;
             }
         }
@@ -1263,11 +1260,15 @@ impl FileSystem for SimurghFs {
             let (_, first, name) = self.resolve_parent(ctx, new)?;
             path::validate_name(name)?;
             let env = self.dir_env();
-            ino.set_nlink(&self.region, ino.nlink(&self.region) + 1);
+            // A count already at 0 means a concurrent unlink removed the
+            // last name and is retiring the inode: it may not gain one.
+            if !ino.inc_nlink(&self.region) {
+                return Err(FsError::NotFound);
+            }
             match dir::insert(&env, first, name, ftype, ino.ptr()) {
                 Ok(_) => Ok(()),
                 Err(e) => {
-                    ino.set_nlink(&self.region, ino.nlink(&self.region) - 1);
+                    self.drop_link(ino);
                     Err(e)
                 }
             }

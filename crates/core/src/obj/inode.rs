@@ -7,6 +7,8 @@
 //! it also embeds the per-file reader/writer lock word (§4.3 "Data
 //! operations"), which is logically volatile and reset at mount.
 
+use std::sync::atomic::Ordering;
+
 use simurgh_fsapi::types::{FileMode, FileType};
 use simurgh_pmem::{PPtr, PmemRegion, Pod};
 
@@ -121,6 +123,30 @@ impl Inode {
     pub fn set_nlink(self, r: &PmemRegion, n: u32) {
         r.write(self.0.add(O_NLINK), n);
         r.persist(self.0.add(O_NLINK), 4);
+    }
+
+    /// Adds one link unless the count already reached 0 (the last name is
+    /// gone and the inode is being retired). Returns whether it was added.
+    pub fn inc_nlink(self, r: &PmemRegion) -> bool {
+        self.update_nlink(r, |n| if n == 0 { None } else { Some(n + 1) }).is_some()
+    }
+
+    /// Drops one link; returns the count before the drop, or `None` if it
+    /// was already 0.
+    pub fn dec_nlink(self, r: &PmemRegion) -> Option<u32> {
+        self.update_nlink(r, |n| n.checked_sub(1))
+    }
+
+    /// One atomic read-modify-write of the media link count, then made
+    /// durable: concurrent link/unlink of one inode from different
+    /// directories hold no common lock, so a load-then-store would lose
+    /// updates. `f` returning `None` leaves the count as it is.
+    fn update_nlink(self, r: &PmemRegion, f: impl FnMut(u32) -> Option<u32>) -> Option<u32> {
+        let p = self.0.add(O_NLINK);
+        let prev = r.atomic_u32(p).fetch_update(Ordering::AcqRel, Ordering::Acquire, f).ok()?;
+        r.note_atomic(p, 4);
+        r.persist(p, 4);
+        Some(prev)
     }
 
     pub fn size(self, r: &PmemRegion) -> u64 {

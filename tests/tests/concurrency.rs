@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use simurgh_core::{testing, SimurghConfig, SimurghFs};
+use simurgh_core::{check, testing, SimurghConfig, SimurghFs};
 use simurgh_fsapi::{FileMode, FileSystem, OpenFlags, ProcCtx};
 use simurgh_pmem::PmemRegion;
 use simurgh_tests::simurgh;
@@ -167,6 +167,41 @@ fn concurrent_appends_to_shared_file_with_lock() {
     // Each 64-byte record is homogeneous (no torn interleaving).
     for chunk in data.chunks(64) {
         assert!(chunk.iter().all(|&b| b == chunk[0]), "torn append record");
+    }
+}
+
+#[test]
+fn concurrent_link_unlink_keeps_nlink_exact() {
+    // Four threads each give `/a/f` a second name in their own directory
+    // and take it away again. Every link and unlink updates the one nlink
+    // word, so a lost update lets an unlink retire the inode while `/a/f`
+    // still names it.
+    for round in 0..4 {
+        let fs = Arc::new(simurgh(64 << 20));
+        let root = ProcCtx::root(0);
+        fs.mkdir(&root, "/a", FileMode::dir(0o777)).unwrap();
+        fs.write_file(&root, "/a/f", b"shared").unwrap();
+        for t in 0..4 {
+            fs.mkdir(&root, &format!("/d{t}"), FileMode::dir(0o777)).unwrap();
+        }
+        crossbeam::thread::scope(|s| {
+            for t in 0..4u32 {
+                let fs = &fs;
+                s.spawn(move |_| {
+                    let ctx = ProcCtx::root(t + 1);
+                    for i in 0..3000 {
+                        let name = format!("/d{t}/g{i}");
+                        fs.link(&ctx, "/a/f", &name).unwrap();
+                        fs.unlink(&ctx, &name).unwrap();
+                    }
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!(fs.stat(&root, "/a/f").unwrap().nlink, 1, "round {round}");
+        assert_eq!(fs.read_to_vec(&root, "/a/f").unwrap(), b"shared", "round {round}");
+        let r = check::check(&fs, true);
+        assert!(r.is_clean(), "round {round}: {:?}", r.violations);
     }
 }
 
