@@ -613,12 +613,6 @@ impl KernelFs {
     }
 }
 
-impl simurgh_fsapi::Instrumented for KernelFs {
-    fn timers(&self) -> &OpTimers {
-        &self.timers
-    }
-}
-
 impl FileSystem for KernelFs {
     fn name(&self) -> &str {
         self.profile.name

@@ -4,8 +4,7 @@
 //! configuration (Simurgh charging the 46-cycle jmpp delta per call, the
 //! kernel baselines charging a host syscall per crossing — §5.1's
 //! methodology), [`experiments`] regenerates every table and figure of the
-//! paper's evaluation, and the `paper` binary prints them. The Criterion
-//! benches under `benches/` reuse the same experiment functions.
+//! paper's evaluation, and the `paper` binary prints them.
 
 pub mod experiments;
 

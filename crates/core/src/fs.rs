@@ -941,12 +941,6 @@ impl SimurghFs {
     }
 }
 
-impl simurgh_fsapi::Instrumented for SimurghFs {
-    fn timers(&self) -> &OpTimers {
-        &self.timers
-    }
-}
-
 impl FileSystem for SimurghFs {
     fn name(&self) -> &str {
         "simurgh"

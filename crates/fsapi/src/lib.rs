@@ -26,7 +26,7 @@ pub mod wire;
 
 pub use error::{FsError, FsResult};
 pub use fs::{DirEntry, FileSystem, ProcCtx, TreeEntry};
-pub use profile::{Breakdown, Instrumented, OpTimers, TimerCategory};
+pub use profile::{Breakdown, OpTimers, TimerCategory};
 pub use types::{Credentials, Fd, FileMode, FileType, FsStats, OpenFlags, SeekFrom, Stat};
 
 /// Maximum file-name length accepted by every implementation (bytes).

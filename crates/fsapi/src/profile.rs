@@ -99,11 +99,6 @@ impl OpTimers {
     }
 }
 
-/// File systems that expose breakdown timers (Table 1 / Fig. 10 harness).
-pub trait Instrumented {
-    fn timers(&self) -> &OpTimers;
-}
-
 /// The paper's three-way execution-time split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Breakdown {
