@@ -954,8 +954,7 @@ impl FileSystem for SimurghFs {
                 let ino = self.resolve(ctx, p, true)?;
                 self.open_existing(ctx, ino, flags)?
             };
-            let pos =
-                if flags.append { ino.size(&self.region) } else { 0 };
+            let pos = if flags.append { ino.size(&self.region) } else { 0 };
             let cursor = self.open_ref(ino);
             Ok(self.opens.insert(ctx.pid, OpenFile { ino, pos, flags, cursor }))
         })

@@ -189,20 +189,20 @@ trait Field: Sized {
 }
 
 macro_rules! int_field {
-    ($($t:ty => $get:ident),*) => {$(
+    ($($t:ident => $put:ident),*) => {$(
         impl Field for $t {
             fn put(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
+                $put(buf, *self);
             }
 
             fn get(c: &mut Cursor<'_>) -> Result<Self, DecodeError> {
-                c.$get()
+                c.$t()
             }
         }
     )*};
 }
 
-int_field!(u16 => u16, u32 => u32, u64 => u64);
+int_field!(u16 => put_u16, u32 => put_u32, u64 => put_u64);
 
 impl Field for Fd {
     fn put(&self, buf: &mut Vec<u8>) {
