@@ -3,13 +3,16 @@
 //! The Fig. 5 protocols and the §4 persistence rules only hold if every
 //! function in the tree follows a handful of mechanical conventions:
 //! stores are fenced before publication points, busy flags and rename
-//! journals are released on every exit path, `unsafe` is justified, and
-//! every struct copied to/from the media has a pinned `#[repr(C)]` layout.
+//! journals are released on every exit path, and `unsafe` is justified.
 //! Those conventions are invisible to `rustc`, so this crate enforces them
 //! with a hand-rolled line/token scanner (no `syn`, no dependencies — it
-//! must build in offline containers) over the workspace sources.
+//! must build in offline containers) over the workspace sources. What
+//! `rustc` can check, it does instead: `#![deny(missing_docs)]` on the
+//! `fsapi` contract crate, exhaustive errno matches on `FsError`, and the
+//! compile-time layout pins `simurgh_pmem::media_struct!` emits for every
+//! on-media struct.
 //!
-//! Ten rule families:
+//! Eight rule families:
 //!
 //! * **persist-order** — in a function that issues raw region stores
 //!   (`write`, `write_from`, `nt_write_from`, `zero`) and later clears a
@@ -30,20 +33,11 @@
 //! * **unsafe-audit** — every `unsafe` block/fn/impl/trait must be
 //!   preceded by a `// SAFETY:` (or `/// # Safety`) comment; the full
 //!   inventory is reported either way.
-//! * **media-layout** — every non-primitive type with an `unsafe impl Pod`
-//!   (i.e. passed to `PmemRegion::read::<T>`/`write::<T>`) must be
-//!   `#[repr(C)]` and listed in the checked-in `layout.golden` manifest,
-//!   whose offsets a companion test pins with `core::mem::offset_of!`.
 //! * **data-path-walk** — the data hot path (`read_at`, `write_at`,
 //!   `ensure_allocated`) must stay O(1) in the extent count: calling the
 //!   O(extents) map helpers (`map_offset`, `allocated_bytes`,
 //!   `for_each_extent`) from inside a loop body of one of those functions
 //!   reintroduces the per-chunk re-walk the extent cursor cache removed.
-//! * **api-surface** — the `fsapi` crate is the workspace's public
-//!   contract: every `pub` item there needs a rustdoc comment, and every
-//!   `FsError` variant must appear in both the `errno()` and
-//!   `errno_name()` mappings (a variant added without an errno silently
-//!   breaks the io::Error conversion surface).
 //! * **obs-coverage** — the observability layer only catches what it can
 //!   see: every public `FileSystem` op implemented in an `fs.rs` (the fns
 //!   taking a `ProcCtx`) must run inside the `protected_op(` wrapper that
@@ -77,16 +71,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The ten rule families.
+/// The eight rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     PersistOrder,
     FenceScope,
     LockDiscipline,
     UnsafeAudit,
-    MediaLayout,
     DataPathWalk,
-    ApiSurface,
     ObsCoverage,
     SharedRegion,
     RelocationOrder,
@@ -100,23 +92,19 @@ impl Rule {
             Rule::FenceScope => "fence-scope",
             Rule::LockDiscipline => "lock-discipline",
             Rule::UnsafeAudit => "unsafe-audit",
-            Rule::MediaLayout => "media-layout",
             Rule::DataPathWalk => "data-path-walk",
-            Rule::ApiSurface => "api-surface",
             Rule::ObsCoverage => "obs-coverage",
             Rule::SharedRegion => "shared-region",
             Rule::RelocationOrder => "relocation-order",
         }
     }
 
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 8] = [
         Rule::PersistOrder,
         Rule::FenceScope,
         Rule::LockDiscipline,
         Rule::UnsafeAudit,
-        Rule::MediaLayout,
         Rule::DataPathWalk,
-        Rule::ApiSurface,
         Rule::ObsCoverage,
         Rule::SharedRegion,
         Rule::RelocationOrder,
@@ -152,8 +140,6 @@ pub struct UnsafeSite {
 pub struct Report {
     pub findings: Vec<Finding>,
     pub unsafe_sites: Vec<UnsafeSite>,
-    /// Names of non-primitive `Pod` media types found in the tree.
-    pub pod_types: Vec<String>,
     pub files_scanned: usize,
 }
 
@@ -871,100 +857,7 @@ fn rule_unsafe_audit(file: &SourceFile, report: &mut Report) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: media-layout guard
-// ---------------------------------------------------------------------------
-
-const POD_PRIMITIVES: [&str; 12] =
-    ["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
-
-/// `(type name, file index, line)` of every non-primitive `unsafe impl Pod`.
-fn pod_impls(files: &[SourceFile]) -> Vec<(String, usize, usize)> {
-    let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ln, line) in file.lines.iter().enumerate() {
-            if line.skip || !line.code.contains("unsafe impl") {
-                continue;
-            }
-            let Some(rest) = line.code.split(" Pod for ").nth(1) else {
-                continue;
-            };
-            let target = rest.trim();
-            if target.starts_with('[') {
-                continue; // byte arrays: layout is trivially defined
-            }
-            let name: String = target.chars().take_while(|&c| is_ident(c)).collect();
-            if name.is_empty() || POD_PRIMITIVES.contains(&name.as_str()) {
-                continue;
-            }
-            out.push((name, fi, ln));
-        }
-    }
-    out
-}
-
-/// Whether `struct name` is declared with `#[repr(C)]` somewhere in `files`.
-fn struct_is_repr_c(files: &[SourceFile], name: &str) -> bool {
-    let needle = format!("struct {name}");
-    for file in files {
-        for (ln, line) in file.lines.iter().enumerate() {
-            let Some(pos) = line.code.find(&needle) else {
-                continue;
-            };
-            let after = &line.code[pos + needle.len()..];
-            if after.chars().next().is_some_and(is_ident) {
-                continue; // prefix of a longer name
-            }
-            // Walk attributes and comments above the declaration.
-            let mut k = ln;
-            while k > 0 {
-                k -= 1;
-                let t = file.lines[k].raw.trim();
-                if t.starts_with("#[") {
-                    if t.contains("repr(C") {
-                        return true;
-                    }
-                } else if !(t.starts_with("//") || t.starts_with("#![")) {
-                    break;
-                }
-            }
-            if line.code.contains("repr(C") {
-                return true; // attribute on the same line
-            }
-        }
-    }
-    false
-}
-
-fn rule_media_layout(files: &[SourceFile], manifest: &[String], report: &mut Report) {
-    for (name, fi, ln) in pod_impls(files) {
-        let file = &files[fi];
-        report.pod_types.push(name.clone());
-        if allowed(file, ln, Rule::MediaLayout) {
-            continue;
-        }
-        if !struct_is_repr_c(files, &name) {
-            report.findings.push(Finding {
-                rule: Rule::MediaLayout,
-                file: file.label.clone(),
-                line: ln + 1,
-                message: format!("`{name}` implements Pod but is not `#[repr(C)]`"),
-            });
-        }
-        if !manifest.iter().any(|m| m == &name) {
-            report.findings.push(Finding {
-                rule: Rule::MediaLayout,
-                file: file.label.clone(),
-                line: ln + 1,
-                message: format!("`{name}` implements Pod but is missing from layout.golden"),
-            });
-        }
-    }
-    report.pod_types.sort();
-    report.pod_types.dedup();
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: data-path walk guard
+// Rule 4: data-path walk guard
 // ---------------------------------------------------------------------------
 
 /// Functions forming the per-op data hot path: one extent locate per call.
@@ -1053,187 +946,7 @@ fn rule_data_path_walk(file: &SourceFile, report: &mut Report) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: fsapi public-surface guard
-// ---------------------------------------------------------------------------
-
-/// Item-introducing keywords whose `pub` form requires a rustdoc comment.
-const PUB_ITEM_KEYWORDS: [&str; 8] =
-    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
-
-/// Name of the `pub` item declared on this line, if any. Restricted
-/// visibility (`pub(crate)`, `pub(super)`) and re-exports (`pub use`) are
-/// not part of the external contract and return `None`.
-fn declared_pub_item(code: &str) -> Option<(&'static str, String)> {
-    let t = code.trim_start();
-    let rest = t.strip_prefix("pub ")?;
-    let rest = rest.trim_start();
-    // `pub unsafe fn`, `pub async fn`, `pub const fn` …
-    let rest = ["unsafe ", "async ", "extern \"C\" "]
-        .iter()
-        .fold(rest, |r, p| r.strip_prefix(p).unwrap_or(r).trim_start());
-    for kw in PUB_ITEM_KEYWORDS {
-        if let Some(after) = rest.strip_prefix(kw) {
-            if !after.starts_with(' ') {
-                continue; // `pub const fn` handled by the `fn` pass below
-            }
-            if kw == "const" || kw == "static" {
-                // `pub const fn name` — the item is the fn, keep scanning.
-                let after = after.trim_start();
-                if let Some(fn_rest) = after.strip_prefix("fn ") {
-                    let name: String =
-                        fn_rest.trim_start().chars().take_while(|&c| is_ident(c)).collect();
-                    return Some(("fn", name));
-                }
-            }
-            let name: String =
-                after.trim_start().chars().take_while(|&c| is_ident(c)).collect();
-            if name.is_empty() {
-                return None;
-            }
-            return Some((kw, name));
-        }
-    }
-    None
-}
-
-/// Whether the item starting at `ln` has a rustdoc comment (or `#[doc]`
-/// attribute) directly above it, attributes in between allowed.
-fn has_rustdoc(file: &SourceFile, ln: usize) -> bool {
-    let mut k = ln;
-    while k > 0 {
-        k -= 1;
-        let t = file.lines[k].raw.trim();
-        if t.starts_with("///") || t.starts_with("/**") || t.starts_with("#[doc") {
-            return true;
-        }
-        if t.starts_with("#[") || t.starts_with("#![") || t.ends_with(']') {
-            continue; // attribute (possibly the tail of a multi-line one)
-        }
-        if t.ends_with("*/") {
-            // Tail of a block comment: walk to its opening line.
-            while k > 0 && !file.lines[k].raw.trim_start().starts_with("/*") {
-                k -= 1;
-            }
-            return file.lines[k].raw.trim_start().starts_with("/**");
-        }
-        break;
-    }
-    false
-}
-
-/// 0-based line range of `enum FsError`'s body, if declared in this file.
-fn fs_error_enum_range(file: &SourceFile) -> Option<(usize, usize)> {
-    let start = file
-        .lines
-        .iter()
-        .position(|l| !l.skip && has_word(&l.code, "enum") && has_word(&l.code, "FsError"))?;
-    let mut depth = 0i64;
-    let mut entered = false;
-    for (ln, line) in file.lines.iter().enumerate().skip(start) {
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if entered && depth <= 0 {
-            return Some((start, ln));
-        }
-    }
-    None
-}
-
-/// Variant names of an enum body: capitalized identifiers opening a line.
-fn enum_variants(file: &SourceFile, start: usize, end: usize) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for ln in start + 1..end {
-        let code = file.lines[ln].code.trim_start();
-        let name: String = code.chars().take_while(|&c| is_ident(c)).collect();
-        if name.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-            && matches!(
-                code[name.len()..].trim_start().chars().next(),
-                Some('(') | Some(',') | Some('{') | None
-            )
-        {
-            out.push((ln, name));
-        }
-    }
-    out
-}
-
-fn rule_api_surface(file: &SourceFile, report: &mut Report) {
-    if !file.label.contains("fsapi") {
-        return;
-    }
-    // Every `pub` item of the contract crate carries rustdoc.
-    let ranges = function_ranges(file);
-    for (ln, line) in file.lines.iter().enumerate() {
-        if line.skip {
-            continue;
-        }
-        let Some((kind, name)) = declared_pub_item(&line.code) else {
-            continue;
-        };
-        // Items declared inside a function body are local, not API surface.
-        if ranges.iter().any(|&(s, e)| ln > s && ln < e) {
-            continue;
-        }
-        if !has_rustdoc(file, ln) && !allowed(file, ln, Rule::ApiSurface) {
-            report.findings.push(Finding {
-                rule: Rule::ApiSurface,
-                file: file.label.clone(),
-                line: ln + 1,
-                message: format!("public {kind} `{name}` has no rustdoc comment"),
-            });
-        }
-    }
-    // Every FsError variant maps to an errno (both number and name).
-    let Some((start, end)) = fs_error_enum_range(file) else {
-        return;
-    };
-    let fn_body = |fn_name: &str| -> Option<(usize, usize)> {
-        ranges
-            .iter()
-            .find(|&&(s, _)| declared_fn_name(&file.lines[s].code).as_deref() == Some(fn_name))
-            .copied()
-    };
-    for (map_fn, what) in [("errno", "errno()"), ("errno_name", "errno_name()")] {
-        let Some((fs, fe)) = fn_body(map_fn) else {
-            for (ln, _) in enum_variants(file, start, end).into_iter().take(1) {
-                if !allowed(file, ln, Rule::ApiSurface) {
-                    report.findings.push(Finding {
-                        rule: Rule::ApiSurface,
-                        file: file.label.clone(),
-                        line: ln + 1,
-                        message: format!("FsError is declared but no `fn {map_fn}` maps it"),
-                    });
-                }
-            }
-            continue;
-        };
-        for (ln, variant) in enum_variants(file, start, end) {
-            let mapped =
-                (fs..=fe).any(|l| !file.lines[l].skip && has_word(&file.lines[l].code, &variant));
-            // A wildcard arm covers forward-compatible variants.
-            let wildcard = (fs..=fe).any(|l| file.lines[l].code.trim_start().starts_with("_ =>"));
-            if !mapped && !wildcard && !allowed(file, ln, Rule::ApiSurface) {
-                report.findings.push(Finding {
-                    rule: Rule::ApiSurface,
-                    file: file.label.clone(),
-                    line: ln + 1,
-                    message: format!("FsError::{variant} is missing from the {what} mapping"),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 7: observability coverage
+// Rule 5: observability coverage
 // ---------------------------------------------------------------------------
 
 /// 0-based inclusive line range of the `impl FileSystem for …` block in
@@ -1560,8 +1273,8 @@ pub fn tolerance_findings(src: &str, fn_name: &str) -> Vec<(usize, String)> {
 // Drivers
 // ---------------------------------------------------------------------------
 
-/// Scans in-memory `(label, source)` pairs against a manifest name list.
-pub fn scan_files(sources: &[(&str, &str)], manifest: &[String]) -> Report {
+/// Scans in-memory `(label, source)` pairs.
+pub fn scan_files(sources: &[(&str, &str)]) -> Report {
     let files: Vec<SourceFile> = sources.iter().map(|(l, s)| load(l, s)).collect();
     let mut report = Report { files_scanned: files.len(), ..Report::default() };
     for file in &files {
@@ -1571,23 +1284,12 @@ pub fn scan_files(sources: &[(&str, &str)], manifest: &[String]) -> Report {
         rule_lock_discipline(file, &mut report);
         rule_unsafe_audit(file, &mut report);
         rule_data_path_walk(file, &mut report);
-        rule_api_surface(file, &mut report);
     }
-    rule_media_layout(&files, manifest, &mut report);
     rule_obs_coverage(&files, &mut report);
     rule_shared_region(&files, &mut report);
     report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     report.findings.dedup();
     report
-}
-
-/// Parses `layout.golden`: one struct per line, name first, `#` comments.
-pub fn parse_manifest(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| l.split_whitespace().next().map(str::to_owned))
-        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -1604,7 +1306,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Scans every `.rs` file under the given roots.
-pub fn scan_dirs(roots: &[PathBuf], manifest: &[String]) -> io::Result<Report> {
+pub fn scan_dirs(roots: &[PathBuf]) -> io::Result<Report> {
     let mut paths = Vec::new();
     for root in roots {
         collect_rs(root, &mut paths)?;
@@ -1616,20 +1318,13 @@ pub fn scan_dirs(roots: &[PathBuf], manifest: &[String]) -> io::Result<Report> {
     }
     let borrowed: Vec<(&str, &str)> =
         sources.iter().map(|(l, s)| (l.as_str(), s.as_str())).collect();
-    Ok(scan_files(&borrowed, manifest))
+    Ok(scan_files(&borrowed))
 }
 
 /// Scans the Simurgh workspace rooted at `root`: every crate's `src/` tree
 /// (vendored third-party stand-ins under `vendor/` and the integration
-/// `tests/` crate are intentionally out of scope), with the golden layout
-/// manifest at `crates/analyze/layout.golden`.
+/// `tests/` crate are intentionally out of scope).
 pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    let manifest_path = root.join("crates/analyze/layout.golden");
-    let manifest = match fs::read_to_string(&manifest_path) {
-        Ok(text) => parse_manifest(&text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
     let mut roots = Vec::new();
     for entry in fs::read_dir(root.join("crates"))? {
         let src = entry?.path().join("src");
@@ -1638,7 +1333,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
         }
     }
     roots.sort();
-    scan_dirs(&roots, &manifest)
+    scan_dirs(&roots)
 }
 
 #[cfg(test)]
@@ -1646,7 +1341,7 @@ mod tests {
     use super::*;
 
     fn findings_of(src: &str, rule: Rule) -> Vec<Finding> {
-        let report = scan_files(&[("fixture.rs", src)], &["Known".to_owned()]);
+        let report = scan_files(&[("fixture.rs", src)]);
         report.findings.into_iter().filter(|f| f.rule == rule).collect()
     }
 
@@ -2051,7 +1746,7 @@ mod tests {
             }
         ";
         assert!(findings_of(src, Rule::UnsafeAudit).is_empty());
-        let report = scan_files(&[("fixture.rs", src)], &[]);
+        let report = scan_files(&[("fixture.rs", src)]);
         assert_eq!(report.unsafe_sites.len(), 1);
         assert!(report.unsafe_sites[0].documented);
     }
@@ -2100,61 +1795,9 @@ mod tests {
                 fn g(p: *const u8) -> u8 { unsafe { *p } }
             }
         ";
-        let report = scan_files(&[("fixture.rs", src)], &[]);
+        let report = scan_files(&[("fixture.rs", src)]);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert!(report.unsafe_sites.is_empty());
-    }
-
-    // ----- media-layout ----------------------------------------------------
-
-    #[test]
-    fn media_layout_good_repr_c_and_in_manifest() {
-        let src = "
-            #[repr(C)]
-            #[derive(Clone, Copy)]
-            struct Known { a: u64 }
-            // SAFETY: repr(C), integers only.
-            unsafe impl Pod for Known {}
-        ";
-        assert!(findings_of(src, Rule::MediaLayout).is_empty());
-        let report = scan_files(&[("fixture.rs", src)], &["Known".to_owned()]);
-        assert_eq!(report.pod_types, vec!["Known".to_owned()]);
-    }
-
-    #[test]
-    fn media_layout_bad_missing_repr_c() {
-        let src = "
-            #[derive(Clone, Copy)]
-            struct Known { a: u64 }
-            // SAFETY: fixture.
-            unsafe impl Pod for Known {}
-        ";
-        let f = findings_of(src, Rule::MediaLayout);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("repr(C)"));
-    }
-
-    #[test]
-    fn media_layout_bad_missing_from_manifest() {
-        let src = "
-            #[repr(C)]
-            struct Rogue { a: u64 }
-            // SAFETY: fixture.
-            unsafe impl Pod for Rogue {}
-        ";
-        let f = findings_of(src, Rule::MediaLayout);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("layout.golden"));
-    }
-
-    #[test]
-    fn media_layout_allows_primitives_and_arrays() {
-        let src = "
-            // SAFETY: primitives.
-            unsafe impl Pod for u64 {}
-            unsafe impl<const N: usize> Pod for [u8; N] {}
-        ";
-        assert!(findings_of(src, Rule::MediaLayout).is_empty());
     }
 
     // ----- data-path-walk --------------------------------------------------
@@ -2244,79 +1887,6 @@ mod tests {
         assert!(!has_invocation("let x = shared_map_offset(a);", "map_offset"));
     }
 
-    // ----- api-surface -----------------------------------------------------
-
-    fn fsapi_findings(src: &str) -> Vec<Finding> {
-        let report = scan_files(&[("crates/fsapi/src/fixture.rs", src)], &[]);
-        report.findings.into_iter().filter(|f| f.rule == Rule::ApiSurface).collect()
-    }
-
-    #[test]
-    fn api_surface_bad_undocumented_pub_item() {
-        let src = "
-            pub fn naked() -> u32 { 7 }
-        ";
-        let f = fsapi_findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`naked`"));
-    }
-
-    #[test]
-    fn api_surface_good_documented_or_private() {
-        let src = "
-            /// Documented public function.
-            pub fn covered() -> u32 { 7 }
-            /// Attributes between the doc and the item are fine.
-            #[inline]
-            pub fn attributed() {}
-            pub(crate) fn internal() {}
-            fn private() {}
-            pub use other::thing;
-        ";
-        assert!(fsapi_findings(src).is_empty());
-    }
-
-    #[test]
-    fn api_surface_only_applies_to_fsapi_paths() {
-        let src = "pub fn naked() {}";
-        let report = scan_files(&[("crates/core/src/other.rs", src)], &[]);
-        assert!(report.findings.iter().all(|f| f.rule != Rule::ApiSurface));
-    }
-
-    #[test]
-    fn api_surface_bad_unmapped_error_variant() {
-        let src = "
-            /// The error enum.
-            pub enum FsError {
-                NotFound,
-                Orphan,
-            }
-            impl FsError {
-                /// errno numbers.
-                pub fn errno(&self) -> i32 {
-                    match self { FsError::NotFound => 2, FsError::Orphan => 5 }
-                }
-                /// errno names — Orphan missing: finding.
-                pub fn errno_name(&self) -> &'static str {
-                    match self { FsError::NotFound => \"ENOENT\" }
-                }
-            }
-        ";
-        let f = fsapi_findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("Orphan"));
-        assert!(f[0].message.contains("errno_name"));
-    }
-
-    #[test]
-    fn api_surface_respects_allow_marker() {
-        let src = "
-            // analyze:allow(api-surface): fixture helper
-            pub fn naked() {}
-        ";
-        assert!(fsapi_findings(src).is_empty());
-    }
-
     // ----- obs-coverage ----------------------------------------------------
 
     #[test]
@@ -2332,7 +1902,7 @@ mod tests {
                 }
             }
         ";
-        let report = scan_files(&[("crates/core/src/fs.rs", src)], &[]);
+        let report = scan_files(&[("crates/core/src/fs.rs", src)]);
         let f: Vec<&Finding> =
             report.findings.iter().filter(|f| f.rule == Rule::ObsCoverage).collect();
         assert_eq!(f.len(), 1, "{f:?}");
@@ -2348,7 +1918,7 @@ mod tests {
                 fn open(&self, ctx: &ProcCtx, p: &str) -> FsResult<Fd> { self.do_open(ctx, p) }
             }
         ";
-        let report = scan_files(&[("crates/fsapi/src/reffs.rs", src)], &[]);
+        let report = scan_files(&[("crates/fsapi/src/reffs.rs", src)]);
         assert!(report.findings.iter().all(|f| f.rule != Rule::ObsCoverage));
     }
 
@@ -2373,7 +1943,6 @@ mod tests {
         ";
         let report = scan_files(
             &[("crates/core/src/obs.rs", registry), ("crates/core/src/stats.rs", counters)],
-            &[],
         );
         let f: Vec<&Finding> =
             report.findings.iter().filter(|f| f.rule == Rule::ObsCoverage).collect();
@@ -2391,7 +1960,7 @@ mod tests {
                 b: AtomicU64,
             }
         ";
-        let report = scan_files(&[("crates/core/src/orphan.rs", src)], &[]);
+        let report = scan_files(&[("crates/core/src/orphan.rs", src)]);
         assert!(report.findings.iter().any(|f| f.rule == Rule::ObsCoverage));
     }
 
@@ -2405,7 +1974,7 @@ mod tests {
                 }
             }
         ";
-        let report = scan_files(&[("crates/core/src/fs.rs", src)], &[]);
+        let report = scan_files(&[("crates/core/src/fs.rs", src)]);
         assert!(report.findings.iter().all(|f| f.rule != Rule::ObsCoverage));
     }
 
@@ -2418,7 +1987,7 @@ mod tests {
                 names: HashMap<u64, String>,
             }
         ";
-        let report = scan_files(&[("crates/core/src/rogue.rs", src)], &[]);
+        let report = scan_files(&[("crates/core/src/rogue.rs", src)]);
         let hits: Vec<_> =
             report.findings.iter().filter(|f| f.rule == Rule::SharedRegion).collect();
         assert_eq!(hits.len(), 1, "{:?}", report.findings);
@@ -2439,7 +2008,6 @@ mod tests {
         ";
         let report = scan_files(
             &[("crates/core/src/shared.rs", registry), ("crates/core/src/good.rs", src)],
-            &[],
         );
         assert!(
             report.findings.iter().all(|f| f.rule != Rule::SharedRegion),
@@ -2459,7 +2027,7 @@ mod tests {
                 owner.insert(1, String::new());
             }
         ";
-        let report = scan_files(&[("crates/core/src/plain.rs", src)], &[]);
+        let report = scan_files(&[("crates/core/src/plain.rs", src)]);
         assert!(report.findings.iter().all(|f| f.rule != Rule::SharedRegion));
     }
 
@@ -2487,17 +2055,11 @@ mod tests {
                 names: HashMap<u64, String>,
             }
         ";
-        let report = scan_files(&[("crates/core/src/scratch.rs", src)], &[]);
+        let report = scan_files(&[("crates/core/src/scratch.rs", src)]);
         assert!(report.findings.iter().all(|f| f.rule != Rule::SharedRegion));
     }
 
     // ----- plumbing --------------------------------------------------------
-
-    #[test]
-    fn manifest_parsing_skips_comments() {
-        let names = parse_manifest("# header\nRenameLog size=64\n\nPoolSeg size=16\n");
-        assert_eq!(names, vec!["RenameLog".to_owned(), "PoolSeg".to_owned()]);
-    }
 
     #[test]
     fn stripper_blanks_strings_and_nested_comments() {

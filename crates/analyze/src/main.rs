@@ -3,7 +3,6 @@
 //! Usage:
 //!   simurgh-analyze --workspace [--root <dir>]   scan every crate's src/
 //!   simurgh-analyze --path <dir> [...]           scan specific directories
-//!   simurgh-analyze --manifest <file>            override layout.golden
 //!   simurgh-analyze --ci                         also print the wider CI
 //!                                                checklist (clippy command)
 //!
@@ -13,21 +12,17 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simurgh_analyze::{parse_manifest, scan_dirs, scan_workspace, Report};
+use simurgh_analyze::{scan_dirs, scan_workspace, Report};
 
 struct Opts {
     workspace: bool,
     root: PathBuf,
     paths: Vec<PathBuf>,
-    manifest: Option<PathBuf>,
     ci: bool,
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: simurgh-analyze (--workspace [--root <dir>] | --path <dir>...) \
-         [--manifest <file>] [--ci]"
-    );
+    eprintln!("usage: simurgh-analyze (--workspace [--root <dir>] | --path <dir>...) [--ci]");
     ExitCode::from(2)
 }
 
@@ -36,7 +31,6 @@ fn parse_args() -> Result<Opts, ExitCode> {
         workspace: false,
         root: PathBuf::from("."),
         paths: Vec::new(),
-        manifest: None,
         ci: false,
     };
     let mut args = std::env::args().skip(1);
@@ -45,7 +39,6 @@ fn parse_args() -> Result<Opts, ExitCode> {
             "--workspace" => opts.workspace = true,
             "--root" => opts.root = PathBuf::from(args.next().ok_or_else(usage)?),
             "--path" => opts.paths.push(PathBuf::from(args.next().ok_or_else(usage)?)),
-            "--manifest" => opts.manifest = Some(PathBuf::from(args.next().ok_or_else(usage)?)),
             "--ci" => opts.ci = true,
             _ => return Err(usage()),
         }
@@ -60,11 +53,10 @@ fn parse_args() -> Result<Opts, ExitCode> {
 fn print_report(report: &Report, ci: bool) {
     let documented = report.unsafe_sites.iter().filter(|s| s.documented).count();
     println!(
-        "scanned {} files: {} unsafe sites ({} documented), {} Pod media types",
+        "scanned {} files: {} unsafe sites ({} documented)",
         report.files_scanned,
         report.unsafe_sites.len(),
         documented,
-        report.pod_types.len(),
     );
     for site in &report.unsafe_sites {
         let mark = if site.documented { "ok " } else { "!! " };
@@ -95,42 +87,10 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
-    let manifest = match &opts.manifest {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => Some(parse_manifest(&text)),
-            Err(e) => {
-                eprintln!("simurgh-analyze: cannot read {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
     let result = if opts.workspace {
-        match manifest {
-            // --manifest overrides the workspace's checked-in golden file.
-            Some(m) => {
-                let crates = opts.root.join("crates");
-                let roots = match std::fs::read_dir(&crates) {
-                    Ok(rd) => {
-                        let mut v: Vec<PathBuf> = rd
-                            .filter_map(|e| e.ok())
-                            .map(|e| e.path().join("src"))
-                            .filter(|p| p.is_dir())
-                            .collect();
-                        v.sort();
-                        v
-                    }
-                    Err(e) => {
-                        eprintln!("simurgh-analyze: cannot read {}: {e}", crates.display());
-                        return ExitCode::from(2);
-                    }
-                };
-                scan_dirs(&roots, &m)
-            }
-            None => scan_workspace(&opts.root),
-        }
+        scan_workspace(&opts.root)
     } else {
-        scan_dirs(&opts.paths, &manifest.unwrap_or_default())
+        scan_dirs(&opts.paths)
     };
     match result {
         Ok(report) => {

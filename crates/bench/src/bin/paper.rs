@@ -146,7 +146,10 @@ fn run_experiment(name: &str, scale: &Scale) {
             } else {
                 println!("\n== Unified observability registry: per-op latency ==");
                 print!("{}", experiments::obs_probe(scale, false));
-                println!("(run with --json for the full registry: latency + dir + data + pmem + timers + alloc_faults)");
+                println!(
+                    "(run with --json for the full registry: latency + dir + data + pmem + timers \
+                     + alloc_faults + alloc + lock + gateway + frag)"
+                );
             }
         }
         "compact" => {
@@ -157,21 +160,6 @@ fn run_experiment(name: &str, scale: &Scale) {
                 println!("\n== Aging & compaction: zipfian churn, then online compaction ==");
                 print!("{}", experiments::compact_run(scale, false));
             }
-        }
-        "bench-snapshot" => {
-            // Always machine-readable: this is the profile pin a change
-            // commits next to its EXPERIMENTS.md table.
-            println!("{}", experiments::bench_snapshot(scale));
-        }
-        // Thin aliases kept for scripts that predate `paper obs`: each prints
-        // the probe-counter slice the unified registry also carries.
-        "dirstats" => {
-            println!("\n== Directory probe counters (JSON) ==");
-            println!("{}", experiments::dir_probe_stats(scale));
-        }
-        "datastats" => {
-            println!("\n== Data-path probe counters (JSON) ==");
-            println!("{}", experiments::data_probe_stats(scale));
         }
         "ablate-alloc" => print_series("Ablation: segmented vs serial block allocator (DWAL)", &experiments::ablate_alloc(scale)),
         "ablate-sec" => print_series("Ablation: security cost per call (MRPL)", &experiments::ablate_security(scale)),
@@ -197,8 +185,8 @@ fn main() {
         eprintln!(
             "usage: paper [EXPERIMENT...] [--full] [--threads 1,2,4] [--json]\n\
              experiments: all gem5 table1 table2 fig6 fig7 fig7a..fig7l fig8 fig9 fig10\n\
-                          fig11 fig12 recovery obs compact bench-snapshot dirstats\n\
-                          datastats ablate-alloc ablate-sec ablate-relaxed\n\
+                          fig11 fig12 recovery obs compact ablate-alloc ablate-sec\n\
+                          ablate-relaxed\n\
              --full    run near paper-scale workloads (minutes per figure)\n\
              --threads comma-separated process counts for the sweeps\n\
              --json    with obs/compact: emit the machine-readable object"

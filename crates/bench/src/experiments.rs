@@ -1,6 +1,6 @@
 //! Every table and figure of the paper's evaluation (§5), as callable
-//! experiment functions. The `paper` binary prints them; Criterion benches
-//! and integration tests call them with small [`Scale`]s.
+//! experiment functions. The `paper` binary prints them; integration tests
+//! call them with small [`Scale`]s.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -232,138 +232,6 @@ pub fn fig7(panel: char, scale: &Scale) -> Vec<Series> {
 }
 
 // ---------------------------------------------------------------------------
-// Directory probe accounting
-// ---------------------------------------------------------------------------
-
-/// Runs the metadata phases (create / stat / unlink of `meta_files` names in
-/// one shared directory) on a fresh Simurgh mount and reports the per-phase
-/// probe-counter deltas as a JSON object — the machine-readable form of the
-/// O(1) metadata-path claim asserted by `tests/tests/scaling.rs`.
-pub fn dir_probe_stats(scale: &Scale) -> String {
-    use simurgh_fsapi::{FileMode, OpenFlags, ProcCtx};
-
-    let region = Arc::new(PmemRegion::new(scale.meta_region));
-    let fs = SimurghFs::format(region, SimurghConfig::default()).expect("format");
-    let ctx = ProcCtx::root(1);
-    fs.mkdir(&ctx, "/probe", FileMode::dir(0o777)).expect("mkdir");
-
-    let mut phases = Vec::new();
-    let mut base = fs.dir_stats();
-    let phase = |fs: &SimurghFs, name: &str, base: &mut simurgh_core::dir::DirStatsSnapshot| {
-        let now = fs.dir_stats();
-        let delta = now.since(base);
-        *base = now;
-        format!(
-            "\"{name}\":{{\"stats\":{},\"probes_per_lookup\":{:.3}}}",
-            delta.to_json(),
-            delta.probes_per_lookup()
-        )
-    };
-
-    for i in 0..scale.meta_files {
-        let fd = fs
-            .open(&ctx, &format!("/probe/f{i}"), OpenFlags::CREATE, FileMode::default())
-            .expect("create");
-        fs.close(&ctx, fd).expect("close");
-    }
-    phases.push(phase(&fs, "create", &mut base));
-    for i in 0..scale.meta_files {
-        fs.stat(&ctx, &format!("/probe/f{i}")).expect("stat");
-    }
-    phases.push(phase(&fs, "stat", &mut base));
-    for i in 0..scale.meta_files {
-        fs.unlink(&ctx, &format!("/probe/f{i}")).expect("unlink");
-    }
-    phases.push(phase(&fs, "unlink", &mut base));
-
-    format!("{{\"meta_files\":{},{}}}", scale.meta_files, phases.join(","))
-}
-
-// ---------------------------------------------------------------------------
-// Data-path probe accounting
-// ---------------------------------------------------------------------------
-
-/// Fragments a file into roughly `extents` single-block extents by
-/// interleaving appends between it and a decoy file: every allocation for the
-/// decoy claims the block right after the main file's tail, so the tail-extend
-/// fast path is blocked and each append lands in its own extent.
-fn fragmented_file(fs: &SimurghFs, extents: usize) -> (simurgh_fsapi::ProcCtx, simurgh_fsapi::Fd) {
-    use simurgh_fsapi::{FileMode, OpenFlags, ProcCtx};
-
-    let ctx = ProcCtx::root(1);
-    let rw_create = OpenFlags { read: true, ..OpenFlags::CREATE };
-    let main = fs.open(&ctx, "/frag", rw_create, FileMode::default()).expect("create");
-    let decoy = fs.open(&ctx, "/decoy", OpenFlags::CREATE, FileMode::default()).expect("create");
-    let chunk = vec![0xA5u8; 4096];
-    for i in 0..extents as u64 {
-        fs.pwrite(&ctx, main, &chunk, i * 4096).expect("append main");
-        fs.pwrite(&ctx, decoy, &chunk, i * 4096).expect("append decoy");
-    }
-    fs.close(&ctx, decoy).expect("close decoy");
-    (ctx, main)
-}
-
-/// Runs a fixed batch of 4 KiB reads and overwrites against files fragmented
-/// into 16 / 256 / 2048 extents on fresh Simurgh mounts, plus one contiguous
-/// single-thread append phase, and reports the [`simurgh_core::file::DataStats`]
-/// deltas as JSON — the machine-readable form of the O(1) data-path claim
-/// asserted by `tests/tests/scaling.rs`.
-pub fn data_probe_stats(scale: &Scale) -> String {
-    use simurgh_fsapi::{FileMode, OpenFlags, ProcCtx};
-
-    let ops = scale.data_ops.clamp(256, 8192) as u64;
-    let mut levels = Vec::new();
-    for extents in [16usize, 256, 2048] {
-        let region = Arc::new(PmemRegion::new(64 << 20));
-        let fs = SimurghFs::format(region, SimurghConfig::default()).expect("format");
-        let (ctx, fd) = fragmented_file(&fs, extents);
-        let file_bytes = extents as u64 * 4096;
-
-        let mut buf = vec![0u8; 4096];
-        let mut base = fs.data_stats();
-        for i in 0..ops {
-            let off = (i * 7919 * 4096) % file_bytes;
-            fs.pread(&ctx, fd, &mut buf, off).expect("pread");
-        }
-        let read = fs.data_stats().since(&base);
-        base = fs.data_stats();
-        for i in 0..ops {
-            let off = (i * 6271 * 4096) % file_bytes;
-            fs.pwrite(&ctx, fd, &buf, off).expect("pwrite");
-        }
-        let write = fs.data_stats().since(&base);
-        levels.push(format!(
-            "{{\"extents\":{extents},\"read\":{{\"stats\":{},\"walk_steps_per_op\":{:.3}}},\
-             \"write\":{{\"stats\":{},\"walk_steps_per_op\":{:.3}}}}}",
-            read.to_json(),
-            read.walk_steps_per_op(),
-            write.to_json(),
-            write.walk_steps_per_op()
-        ));
-    }
-
-    // Contiguous single-thread append phase: the tail-extend fast path should
-    // absorb nearly every append.
-    let region = Arc::new(PmemRegion::new(64 << 20));
-    let fs = SimurghFs::format(region, SimurghConfig::default()).expect("format");
-    let ctx = ProcCtx::root(1);
-    let fd = fs.open(&ctx, "/seq", OpenFlags::CREATE, FileMode::default()).expect("create");
-    let chunk = vec![0x5Au8; 4096];
-    let base = fs.data_stats();
-    for i in 0..ops.min(2048) {
-        fs.pwrite(&ctx, fd, &chunk, i * 4096).expect("append");
-    }
-    let append = fs.data_stats().since(&base);
-
-    format!(
-        "{{\"ops\":{ops},\"levels\":[{}],\"append\":{{\"stats\":{},\"tail_extend_rate\":{:.3}}}}}",
-        levels.join(","),
-        append.to_json(),
-        append.tail_extend_rate()
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Unified observability probe
 // ---------------------------------------------------------------------------
 
@@ -412,9 +280,8 @@ pub fn obs_probe(scale: &Scale, json: bool) -> String {
 }
 
 /// Serves `fs` on a throwaway unix socket and drives it with an
-/// in-process loadgen burst, so the registry's `gateway` section (and the
-/// snapshot's `gateway_loadgen` object) report a live serving path rather
-/// than zeros. Small on purpose: 8 connections × `ops_per_conn` ops keep
+/// in-process loadgen burst, so the registry's `gateway` section reports a
+/// live serving path rather than zeros. Small on purpose: 8 connections × `ops_per_conn` ops keep
 /// `paper obs` interactive.
 fn gateway_burst(
     fs: &Arc<SimurghFs>,
@@ -442,11 +309,10 @@ fn gateway_burst(
     report
 }
 
-/// The mixed metadata workload behind `paper obs` and `paper
-/// bench-snapshot`: `rounds` times over, create / append+fsync /
-/// truncate-shrink / both rename shapes / symlink / readlink / stat /
-/// unlink — every op shape the crash matrix scripts, so the latency
-/// histograms cover the same vocabulary the cost probe pins.
+/// The mixed metadata workload behind `paper obs`: `rounds` times over,
+/// create / append+fsync / truncate-shrink / both rename shapes / symlink /
+/// readlink / stat / unlink — every op shape the crash matrix scripts, so
+/// the latency histograms cover the same vocabulary the cost probe pins.
 fn mixed_metadata_workload(fs: &SimurghFs, rounds: u64) {
     use simurgh_fsapi::{FileMode, OpenFlags, ProcCtx};
     let ctx = ProcCtx::root(1);
@@ -480,97 +346,6 @@ fn mixed_metadata_workload(fs: &SimurghFs, rounds: u64) {
         fs.unlink(&ctx, &format!("/e/r{i}")).expect("unlink file");
     }
     fs.statfs(&ctx).expect("statfs");
-}
-
-/// Machine-readable group-commit profile (`paper bench-snapshot`): the
-/// deterministic per-op persistence costs (fences crossed, fences absorbed
-/// by scopes, allocator round trips), per-op p50/p99 tail latency over the
-/// mixed metadata workload, Simurgh throughput on four representative
-/// Fig. 7 panels, and the full observability registry. One JSON object —
-/// redirect to a file to pin a change's before/after profile.
-pub fn bench_snapshot(scale: &Scale) -> String {
-    use simurgh_core::testing::matrix::probe_costs;
-
-    let costs = probe_costs()
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"op\":\"{}\",\"fences\":{},\"fences_elided\":{},\"pool_trips\":{},\"seg_trips\":{}}}",
-                c.op, c.fences, c.fences_elided, c.pool_trips, c.seg_trips
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-
-    let region = Arc::new(PmemRegion::new(64 << 20));
-    let fs = Arc::new(SimurghFs::format(region, SimurghConfig::default()).expect("format"));
-    let rounds = (scale.meta_files as u64 / 8).clamp(16, 512);
-    mixed_metadata_workload(&fs, rounds);
-    // Age the instrumented image with a short zipfian churn (water-mark
-    // compaction armed between batches) so the registry's `frag` section
-    // pins an aged profile, not a freshly formatted one.
-    let churn = simurgh_workloads::aging::AgingSpec::churn(0.25);
-    simurgh_workloads::aging::run_churn(
-        fs.as_ref(),
-        &simurgh_fsapi::ProcCtx::root(1),
-        &churn,
-        |_, _| {
-            fs.maybe_compact();
-        },
-    )
-    .expect("bench-snapshot churn");
-    let gw = gateway_burst(&fs, 8, 50);
-    let mut latency = Vec::new();
-    for (name, s) in fs.obs().latencies().filter(|(_, s)| s.count > 0) {
-        let ratio = if s.p50_ns > 0 { s.p99_ns as f64 / s.p50_ns as f64 } else { 0.0 };
-        latency.push(format!(
-            "{{\"op\":\"{}\",\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"p99_over_p50\":{ratio:.2}}}",
-            name,
-            s.count,
-            s.p50_ns,
-            s.p99_ns
-        ));
-    }
-    let registry = fs.obs_json();
-
-    let threads = scale.threads.iter().copied().max().unwrap_or(1);
-    let create_private = fxmark::create_private(
-        FsKind::Simurgh.make(scale.meta_region).as_ref(),
-        threads,
-        scale.meta_files,
-    )
-    .kops();
-    let create_shared = fxmark::create_shared(
-        FsKind::Simurgh.make(scale.meta_region).as_ref(),
-        threads,
-        scale.meta_files,
-    )
-    .kops();
-    let rename_shared = fxmark::rename_shared(
-        FsKind::Simurgh.make(scale.meta_region).as_ref(),
-        threads,
-        scale.meta_files,
-    )
-    .kops();
-    let append = fxmark::append_private(
-        FsKind::Simurgh.make(scale.data_region).as_ref(),
-        threads,
-        scale.appends,
-    )
-    .gibs();
-
-    format!(
-        "{{\"snapshot\":\"group-commit\",\"threads\":{threads},\
-         \"op_costs\":[{costs}],\"latency\":[{latency}],\
-         \"fig7_simurgh\":{{\"create_private_kops\":{create_private:.1},\
-         \"create_shared_kops\":{create_shared:.1},\
-         \"rename_shared_kops\":{rename_shared:.1},\
-         \"append_gibs\":{append:.3}}},\
-         \"gateway_loadgen\":{gateway},\
-         \"registry\":{registry}}}",
-        latency = latency.join(","),
-        gateway = gw.to_json()
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ pub const DEFAULT_FILE_MAX_HOLD: Duration = Duration::from_millis(500);
 
 /// Probe accounting for the data hot paths, mirroring [`crate::dir::DirStats`].
 /// Counters are bumped with relaxed atomics and exist so the O(1) claim of
-/// the extent cursor cache is *asserted* by tests and exported by the bench
-/// harness (`paper datastats`), not eyeballed.
+/// the extent cursor cache is *asserted* by tests and exported through the
+/// observability registry (`paper obs --json`), not eyeballed.
 #[derive(Default)]
 pub struct DataStats {
     /// `read_at` calls.

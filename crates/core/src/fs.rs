@@ -457,7 +457,7 @@ impl SimurghFs {
     }
 
     /// Snapshot of the data-path probe counters (scaling assertions and the
-    /// bench harness's `paper datastats` export).
+    /// bench harness's stats export).
     pub fn data_stats(&self) -> file::DataStatsSnapshot {
         self.data_stats.snapshot()
     }

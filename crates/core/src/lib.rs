@@ -53,7 +53,6 @@ pub mod recovery;
 pub mod security;
 pub mod shared;
 pub mod super_block;
-pub mod testing;
 
 pub use fs::{SimurghConfig, SimurghFs};
 pub use recovery::RecoveryReport;

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::Ordering;
 
-use simurgh_pmem::{PPtr, PmemRegion, Pod};
+use simurgh_pmem::{PPtr, PmemRegion};
 
 /// Size of one directory hash block.
 pub const DIRBLOCK_SIZE: u64 = 4096;
@@ -33,26 +33,23 @@ pub const DF_RENAME: u64 = 1 << 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirBlock(pub PPtr);
 
-/// The per-directory log entry (stored in the first block). One entry is
-/// enough because the busy flags serialize rename operations per directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(C)]
-pub struct RenameLog {
-    /// 0 = idle, 1 = cross-directory rename (this dir is the source).
-    pub op: u64,
-    pub src_dir: u64,
-    pub dst_dir: u64,
-    pub inode: u64,
-    pub old_fentry: u64,
-    pub new_fentry: u64,
-    pub old_line: u64,
-    pub new_line: u64,
+simurgh_pmem::media_struct! {
+    /// The per-directory log entry (stored in the first block at `O_LOG`).
+    /// One entry is enough because the busy flags serialize rename
+    /// operations per directory.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct RenameLog (size 64, align 8) {
+        /// 0 = idle, 1 = cross-directory rename (this dir is the source).
+        @0 pub op: u64,
+        @8 pub src_dir: u64,
+        @16 pub dst_dir: u64,
+        @24 pub inode: u64,
+        @32 pub old_fentry: u64,
+        @40 pub new_fentry: u64,
+        @48 pub old_line: u64,
+        @56 pub new_line: u64,
+    }
 }
-
-// SAFETY: repr(C) with only u64 fields — no padding, valid for any bit
-// pattern. The field order IS the media layout at O_LOG, pinned by
-// `layout.golden` and the offset test in tests/tests/static_analysis.rs.
-unsafe impl Pod for RenameLog {}
 
 /// Log operation codes.
 pub mod logop {

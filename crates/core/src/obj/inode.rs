@@ -10,7 +10,7 @@
 use std::sync::atomic::Ordering;
 
 use simurgh_fsapi::types::{FileMode, FileType};
-use simurgh_pmem::{PPtr, PmemRegion, Pod};
+use simurgh_pmem::{PPtr, PmemRegion};
 
 /// Size of one inode object.
 pub const INODE_SIZE: u64 = 128;
@@ -32,20 +32,17 @@ pub const O_LOCK: u64 = 56;
 const O_EXTENTS: u64 = 72;
 const O_EXT_NEXT: u64 = 120;
 
-/// One extent: a contiguous run of file bytes in the data area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(C)]
-pub struct Extent {
-    /// Byte offset of the run in the region (block aligned), or 0 if unset.
-    pub start: u64,
-    /// Length in bytes.
-    pub len: u64,
+simurgh_pmem::media_struct! {
+    /// One extent: a contiguous run of file bytes in the data area. An
+    /// entry of the inline extent table (`O_EXTENTS`) and of extent blocks.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct Extent (size 16, align 8) {
+        /// Byte offset of the run in the region (block aligned), or 0 if unset.
+        @0 pub start: u64,
+        /// Length in bytes.
+        @8 pub len: u64,
+    }
 }
-
-// SAFETY: repr(C) with only u64 fields — no padding, valid for any bit
-// pattern. The field order IS the media layout of the inline extent table
-// (O_EXTENTS) and of extent blocks, pinned by `layout.golden`.
-unsafe impl Pod for Extent {}
 
 impl Extent {
     pub fn is_empty(&self) -> bool {

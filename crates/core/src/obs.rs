@@ -13,8 +13,11 @@
 //! 2. **Latency histograms** — log2-bucket [`Histogram`]s around every
 //!    `FileSystem` op (keyed by the wire table's `RequestKind`) and each
 //!    mount/recovery [`Phase`], driven by [`ObsRegistry::time_op`] and
-//!    reported per op as count/p50/p99/max. Recording is two relaxed atomic
-//!    RMWs per op; quantiles are computed at snapshot time.
+//!    reported per op as count/p50/p99/max. Recording costs six relaxed
+//!    atomic RMWs per op: a histogram bucket add and a `fetch_max`, two
+//!    `OpTimers` adds, and the two `fetch_add`s on the process-global trace
+//!    sequence that the `OpBegin`/`OpEnd` events take in [`trace`].
+//!    Quantiles are computed at snapshot time.
 //! 3. **Trace ring** — a lock-free fixed-size per-thread ring of
 //!    [`TraceEvent`]s ([`trace`]) recording op begin/end, `TsLock` steals,
 //!    busy-flag timeouts, alloc-fault injections and sfence boundaries.

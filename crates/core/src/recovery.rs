@@ -18,9 +18,11 @@
 //!    the used-block set, and sweep every pool slot: free slots feed the
 //!    metadata allocator, reachable objects get their volatile lock words
 //!    cleared, and allocated-but-unreachable objects (the paper's "assigned
-//!    but unused metadata objects") are reclaimed.
+//!    but unused metadata objects") are reclaimed. After an unclean
+//!    shutdown the sweep also sets the link count of every reachable file
+//!    and symlink to the number of entries naming it.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,6 +68,8 @@ impl RecoveryReport {
     }
 }
 
+// analyze:allow(shared-region): per-recovery scratch, dropped before the
+// mount returns; no process ever shares it.
 #[derive(Default)]
 struct Marked {
     /// Offsets of reachable metadata objects.
@@ -74,6 +78,9 @@ struct Marked {
     blocks: HashSet<u64>,
     /// First hash blocks of every reachable directory.
     dir_firsts: Vec<u64>,
+    /// Names beyond the first, per inode named more than once (hard
+    /// links); an inode's entry count is 1 plus its value here.
+    extra_names: HashMap<u64, u32>,
     files: u64,
     dirs: u64,
     symlinks: u64,
@@ -117,7 +124,13 @@ impl<'a> Walker<'a> {
         let mut stack = vec![root];
         let mut visited: HashSet<u64> = HashSet::new();
         while let Some(ip) = stack.pop() {
-            if !visited.insert(ip.off()) || !self.valid_obj(ip, Tag::Inode) {
+            // Every entry naming an inode pushes it once, so a repeat pop is
+            // one more name: count it, but walk the inode only once.
+            if !visited.insert(ip.off()) {
+                *m.extra_names.entry(ip.off()).or_insert(0) += 1;
+                continue;
+            }
+            if !self.valid_obj(ip, Tag::Inode) {
                 continue;
             }
             m.meta.insert(ip.off());
@@ -256,7 +269,18 @@ pub fn recover(
             if m_final.meta.contains(&slot.off()) {
                 // Reachable: reset the volatile lock word of inodes.
                 if kind == PoolKind::Inode {
-                    region.write(Inode(slot).lock_ptr(), 0u64);
+                    let ino = Inode(slot);
+                    region.write(ino.lock_ptr(), 0u64);
+                    // `link` persists the raised count before it inserts the
+                    // entry, and `unlink` retires the entry before it drops
+                    // the count: a cut between the two leaves nlink one too
+                    // high. Directories keep their fixed nlink of 2.
+                    if !was_clean && ino.mode(region).ftype != FileType::Directory {
+                        let names = 1 + m_final.extra_names.get(&slot.off()).copied().unwrap_or(0);
+                        if ino.nlink(region) != names {
+                            ino.set_nlink(region, names);
+                        }
+                    }
                 }
                 return;
             }
@@ -437,6 +461,20 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         fs2.region().read_into(PPtr::new(e2.start), &mut buf);
         assert!(buf.iter().all(|&b| b == 0x12), "data after the hole was lost");
+    }
+
+    #[test]
+    fn unclean_recovery_recounts_link_counts() {
+        // A cut inside `link` (count raised, entry never inserted) leaves
+        // nlink above the number of names; recovery recounts it.
+        let (fs, ctx) = tracked_fs(16 << 20);
+        fs.write_file(&ctx, "/f", b"x").unwrap();
+        fs.link(&ctx, "/f", "/g").unwrap();
+        let ino = Inode(PPtr::new(fs.stat(&ctx, "/f").unwrap().ino));
+        ino.set_nlink(fs.region(), 3);
+        let fs2 = crash_and_remount(&fs);
+        assert_eq!(fs2.stat(&ctx, "/g").unwrap().nlink, 2);
+        assert!(crate::check::check(&fs2, true).is_clean());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! metadata objects live without trusting any volatile state.
 
 use simurgh_pmem::layout::Extent;
-use simurgh_pmem::{PPtr, PmemRegion, Pod};
+use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::obj::Tag;
 
@@ -73,18 +73,15 @@ impl PoolKind {
     }
 }
 
-/// One pool segment: `count` objects starting at byte offset `start`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
-pub struct PoolSeg {
-    pub start: u64,
-    pub count: u64,
+simurgh_pmem::media_struct! {
+    /// One pool segment: `count` objects starting at byte offset `start`.
+    /// An entry of the superblock's pool segment table (`O_POOLS`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct PoolSeg (size 16, align 8) {
+        @0 pub start: u64,
+        @8 pub count: u64,
+    }
 }
-
-// SAFETY: repr(C) with only u64 fields — no padding, valid for any bit
-// pattern. The field order IS the media layout of the superblock's pool
-// segment table (O_POOLS), pinned by `layout.golden`.
-unsafe impl Pod for PoolSeg {}
 
 /// Typed view over the superblock.
 #[derive(Debug, Clone, Copy)]

@@ -27,19 +27,19 @@
 //!   for the worker processes.)
 //!
 //! ```text
-//! cargo run -p simurgh-examples --bin crashlab
-//! cargo run --release -p simurgh-examples --bin crashlab -- matrix
-//! cargo run --release -p simurgh-examples --bin crashlab -- matrix --json
-//! cargo run --release -p simurgh-examples --bin crashlab -- matrix --cap 8
-//! cargo run --release -p simurgh-examples --bin crashlab -- matrix --trace
-//! cargo run --release -p simurgh-examples --bin crashlab -- procs --procs 4 --json
+//! cargo run -p simurgh-crashlab
+//! cargo run --release -p simurgh-crashlab -- matrix
+//! cargo run --release -p simurgh-crashlab -- matrix --json
+//! cargo run --release -p simurgh-crashlab -- matrix --cap 8
+//! cargo run --release -p simurgh-crashlab -- matrix --trace
+//! cargo run --release -p simurgh-crashlab -- procs --procs 4 --json
 //! ```
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use simurgh_core::testing::{matrix, procs};
 use simurgh_core::{SimurghConfig, SimurghFs};
+use simurgh_crashlab::testing::{matrix, procs};
 use simurgh_fsapi::{FileMode, FileSystem, ProcCtx};
 use simurgh_pmem::PmemRegion;
 
@@ -127,12 +127,12 @@ fn run_matrix(json: bool, trace: bool, cap: Option<u64>) {
         println!("{}", matrix::to_json(&results));
     } else {
         println!(
-            "{:<16} {:>10} {:>7} {:>6} {:>7} {:>8}  status",
+            "{:<18} {:>10} {:>7} {:>6} {:>7} {:>8}  status",
             "op", "boundaries", "commit", "allocs", "enospc", "capped"
         );
         for m in &results {
             println!(
-                "{:<16} {:>10} {:>7} {:>6} {:>7} {:>8}  {}",
+                "{:<18} {:>10} {:>7} {:>6} {:>7} {:>8}  {}",
                 m.op,
                 m.boundaries,
                 m.commit_point.map_or("-".to_owned(), |c| c.to_string()),
@@ -214,12 +214,12 @@ fn run_demo() {
     // Simulate a crashed process: it acquired the busy flag of the line
     // holding "victim", invalidated the entry (delete step 2 of Fig. 5b)
     // and died before completing steps 3–5.
-    simurgh_core::testing::crash_mid_unlink(&fs, "/shared", "victim");
+    simurgh_crashlab::testing::crash_mid_unlink(&fs, "/shared", "victim");
     println!("a process crashed mid-unlink, leaving the hash line busy");
 
     // Another process now touches the same hash line: it times out,
     // repairs the line (completing the interrupted delete) and proceeds.
-    let collide = simurgh_core::testing::colliding_name("victim", "after-crash-");
+    let collide = simurgh_crashlab::testing::colliding_name("victim", "after-crash-");
     let t = std::time::Instant::now();
     fs.write_file(&ctx, &format!("/shared/{collide}"), b"new work").unwrap();
     println!(

@@ -6,8 +6,9 @@
 //! (`simurgh_pmem::FaultPlan` in recording mode). It then *replays* the
 //! operation once per boundary `i`, cutting the power there
 //! ([`simurgh_pmem::FaultPlan::cut_after`]), remounts the frozen media
-//! image through whole-system recovery ([`crate::recovery`]), runs the
-//! [`crate::check`] fsck, and asserts the paper's prescribed outcome:
+//! image through whole-system recovery ([`simurgh_core::recovery`]), runs
+//! the [`simurgh_core::check`] fsck, and asserts the paper's prescribed
+//! outcome:
 //!
 //! * the recovered tree equals the pre-op snapshot (**roll-back**) or the
 //!   post-op snapshot (**roll-forward**) — never a third state;
@@ -19,7 +20,7 @@
 //!   and no allocated-but-unreachable object survived the first repair.
 //!
 //! A second sub-matrix injects ENOSPC at every allocation the operation
-//! performs ([`crate::alloc::AllocFaults`]) and asserts failed operations
+//! performs ([`simurgh_core::alloc::AllocFaults`]) and asserts failed operations
 //! are atomic: the error is the planned [`FsError::Injected`], the tree
 //! still matches a snapshot, and a subsequent crash-remount reclaims
 //! nothing.
@@ -32,8 +33,8 @@ use std::sync::Arc;
 use simurgh_fsapi::{FileMode, FileSystem, FileType, FsResult, OpenFlags, ProcCtx};
 use simurgh_pmem::{FaultPlan, PmemRegion};
 
-use crate::check;
-use crate::fs::{SimurghConfig, SimurghFs};
+use simurgh_core::check;
+use simurgh_core::fs::{SimurghConfig, SimurghFs};
 
 /// Region size for matrix runs: small enough to remount hundreds of times,
 /// large enough that no scripted op organically exhausts it.
@@ -101,7 +102,7 @@ pub struct OpMatrix {
     /// Invariant violations; empty means every replay recovered correctly.
     pub failures: Vec<String>,
     /// Flight recorder: the most recent trace events per thread (rendered
-    /// via [`crate::obs`]), captured when a replay failed. Empty for clean
+    /// via [`simurgh_core::obs`]), captured when a replay failed. Empty for clean
     /// matrices.
     pub trace: Vec<String>,
 }
@@ -116,17 +117,19 @@ impl OpMatrix {
     }
 }
 
+/// Setup shared by most cells: `/d` holding three small files `f0`–`f2`.
+fn base_setup(fs: &SimurghFs, ctx: &ProcCtx) {
+    fs.mkdir(ctx, "/d", FileMode::dir(0o755)).expect("setup mkdir /d");
+    for i in 0..3 {
+        fs.write_file(ctx, &format!("/d/f{i}"), format!("hello-{i}").as_bytes())
+            .expect("setup file");
+    }
+}
+
 /// The seven scripted operations of the paper's protocol table: `create`,
 /// `unlink`, same- and cross-directory `rename`, `append`, shrinking
 /// `truncate` and `symlink`.
 pub fn scripted_ops() -> Vec<OpSpec> {
-    fn base_setup(fs: &SimurghFs, ctx: &ProcCtx) {
-        fs.mkdir(ctx, "/d", FileMode::dir(0o755)).expect("setup mkdir /d");
-        for i in 0..3 {
-            fs.write_file(ctx, &format!("/d/f{i}"), format!("hello-{i}").as_bytes())
-                .expect("setup file");
-        }
-    }
     fn cross_setup(fs: &SimurghFs, ctx: &ProcCtx) {
         base_setup(fs, ctx);
         fs.mkdir(ctx, "/e", FileMode::dir(0o755)).expect("setup mkdir /e");
@@ -228,6 +231,31 @@ pub fn compact_spec() -> OpSpec {
     }
 }
 
+/// The hard-link cells: `link` of an existing file, and `unlink` of one of
+/// an inode's two names. `link` persists the raised `nlink` before it
+/// inserts the entry and `unlink` retires the entry before it drops the
+/// count, so a cut between the two steps leaves `nlink` one too high until
+/// recovery recounts it. [`run_matrix`] runs these cells; they stay out of
+/// [`scripted_ops`], whose seven ops are the cost baseline of
+/// [`probe_costs`].
+pub fn hard_link_ops() -> Vec<OpSpec> {
+    vec![
+        OpSpec {
+            name: "link",
+            setup: base_setup,
+            op: |fs, ctx| fs.link(ctx, "/d/f0", "/d/hard"),
+        },
+        OpSpec {
+            name: "unlink-hardlinked",
+            setup: |fs, ctx| {
+                base_setup(fs, ctx);
+                fs.link(ctx, "/d/f0", "/d/hard").expect("setup link");
+            },
+            op: |fs, ctx| fs.unlink(ctx, "/d/f0"),
+        },
+    ]
+}
+
 /// Extent map of one file: `(start, len)` rows in logical order — the
 /// witness [`run_compact_matrix`] discriminates old-vs-new layouts with.
 pub(crate) fn extent_map_of(
@@ -236,9 +264,9 @@ pub(crate) fn extent_map_of(
     path: &str,
 ) -> Result<Vec<(u64, u64)>, String> {
     let st = fs.stat(ctx, path).map_err(|e| format!("stat {path}: {e}"))?;
-    let ino = crate::obj::inode::Inode(simurgh_pmem::PPtr::new(st.ino));
+    let ino = simurgh_core::obj::inode::Inode(simurgh_pmem::PPtr::new(st.ino));
     let mut v = Vec::new();
-    crate::file::for_each_extent(fs.region(), ino, |_, e| v.push((e.start, e.len)));
+    simurgh_core::file::for_each_extent(fs.region(), ino, |_, e| v.push((e.start, e.len)));
     Ok(v)
 }
 
@@ -253,7 +281,7 @@ pub(crate) fn extent_map_of(
 pub fn run_compact_matrix(cap: Option<u64>) -> OpMatrix {
     let mut m = run_compact_matrix_inner(cap);
     if !m.failures.is_empty() {
-        m.trace = crate::obs::flight_dump(FLIGHT_EVENTS);
+        m.trace = simurgh_core::obs::flight_dump(FLIGHT_EVENTS);
     }
     m
 }
@@ -535,7 +563,7 @@ pub fn run_op_matrix(spec: &OpSpec, cap: Option<u64>) -> OpMatrix {
     if !m.failures.is_empty() {
         // Flight recorder: attach the tail of every thread's trace ring so
         // the failure report shows what the code was doing at the end.
-        m.trace = crate::obs::flight_dump(FLIGHT_EVENTS);
+        m.trace = simurgh_core::obs::flight_dump(FLIGHT_EVENTS);
     }
     m
 }
@@ -670,9 +698,9 @@ fn run_op_matrix_inner(spec: &OpSpec, cap: Option<u64>) -> OpMatrix {
     m
 }
 
-/// Runs [`run_op_matrix`] for every scripted operation.
+/// Runs [`run_op_matrix`] for every scripted operation and hard-link cell.
 pub fn run_matrix(cap: Option<u64>) -> Vec<OpMatrix> {
-    scripted_ops().iter().map(|s| run_op_matrix(s, cap)).collect()
+    scripted_ops().iter().chain(&hard_link_ops()).map(|s| run_op_matrix(s, cap)).collect()
 }
 
 /// Persistence-cost profile of one scripted operation: counter deltas

@@ -1,20 +1,22 @@
-//! Crash-injection helpers for tests, examples and the harness.
+//! Crash-injection helpers for tests, the `crashlab` binary and the
+//! matrices.
 //!
 //! These utilities simulate the *process-crash* scenarios of §4.3 — a
 //! process dying between protocol steps while holding a busy flag — which
 //! cannot be produced through the public API (the API always completes its
 //! protocols). They reach into the on-NVMM structures exactly the way a
-//! dying process would leave them.
+//! dying process would leave them, through `SimurghFs`'s hidden
+//! `testing_*` accessors.
 
 use simurgh_fsapi::{FileSystem, ProcCtx};
 
-use crate::dir;
+use simurgh_core::dir;
 
 pub mod matrix;
 pub mod procs;
-use crate::fs::SimurghFs;
-use crate::hash::dir_line;
-use crate::obj::{self, dirblock::NLINES};
+use simurgh_core::fs::SimurghFs;
+use simurgh_core::hash::dir_line;
+use simurgh_core::obj::{self, dirblock::NLINES};
 
 /// Simulates a process that crashed mid-unlink of `dir_path/name`: the
 /// line's busy flag is taken and the file entry invalidated (Fig. 5b steps
@@ -64,7 +66,7 @@ pub fn colliding_name(name: &str, prefix: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::SimurghConfig;
+    use simurgh_core::fs::SimurghConfig;
     use simurgh_fsapi::FileMode;
     use simurgh_pmem::PmemRegion;
     use std::sync::Arc;

@@ -10,8 +10,8 @@
 //! 1. The driver formats a region *file*, populates it, and spawns `N` real
 //!    OS processes (via a caller-supplied spawner, so the libtest binary and
 //!    `crashlab` reuse one driver). Every worker maps the same file and
-//!    joins the mount group through [`crate::fs::SimurghFs::mount_shared`].
-//! 2. Phase gates live in the region itself (the [`crate::shared::O_SCRATCH`]
+//!    joins the mount group through [`SimurghFs::mount_shared`].
+//! 2. Phase gates live in the region itself (the [`shared::O_SCRATCH`]
 //!    words) — the harness needs no IPC beyond the file. Once everyone is
 //!    attached, the victim (slot 0) plants a sentinel **busy line** (a held
 //!    line lock in `/sent`, the thing only a peer's timeout-steal can free),
@@ -23,9 +23,9 @@
 //!    by signal 9, never a clean exit (the driver asserts the wait status).
 //! 3. The survivors then write colliding names into the sentinel line. Each
 //!    must observe the victim's stale busy flag, time out, repair and steal
-//!    it ([`crate::obs::EventKind::LockSteal`] in *their* trace ring — the
+//!    it ([`EventKind::LockSteal`] in *their* trace ring — the
 //!    decentralized-recovery witness), and complete its own workload.
-//! 4. Finally the driver takes an exclusive [`crate::fs::SimurghFs::mount`]
+//! 4. Finally the driver takes an exclusive [`SimurghFs::mount`]
 //!    of the file (full recovery: the killed process leaked its attach
 //!    count, so the region is unclean) and asserts convergence: fsck clean,
 //!    a second recovery reclaims nothing, and the tree and used-block count
@@ -39,10 +39,11 @@ use std::time::{Duration, Instant};
 use simurgh_fsapi::{FileMode, FileSystem, FsResult, ProcCtx};
 use simurgh_pmem::{FaultPlan, PPtr, PmemRegion, RegionBuilder};
 
-use crate::check;
-use crate::fs::{SimurghConfig, SimurghFs};
-use crate::obs::{self, EventKind};
-use crate::shared;
+use simurgh_core::check;
+use simurgh_core::fs::{SimurghConfig, SimurghFs};
+use simurgh_core::obs::{self, EventKind};
+use simurgh_core::shared;
+
 use crate::testing::{colliding_name, crash_holding_line};
 
 use super::matrix::{compact_spec, extent_map_of, scripted_ops, OpSpec};

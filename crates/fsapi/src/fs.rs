@@ -13,7 +13,9 @@ use crate::types::{Credentials, Fd, FileMode, FsStats, OpenFlags, SeekFrom, Stat
 /// scope file descriptors) and its credentials (used for permission checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcCtx {
+    /// Process id; descriptors are scoped to it.
     pub pid: u32,
+    /// Credentials checked against file owners and permission bits.
     pub creds: Credentials,
 }
 
@@ -33,7 +35,9 @@ impl ProcCtx {
 /// One entry returned by `readdir`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {
+    /// Entry name (one path component, no slashes).
     pub name: String,
+    /// Kind of the object the entry names.
     pub ftype: crate::types::FileType,
     /// Implementation-stable identifier (persistent pointer for Simurgh).
     pub ino: u64,
@@ -57,6 +61,7 @@ pub trait FileSystem: Send + Sync {
         self.open(ctx, path, OpenFlags::WRONLY.with_excl(), mode)
     }
 
+    /// Releases a descriptor; a second close of the same `fd` is `BadFd`.
     fn close(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<()>;
 
     /// Reads at the descriptor's position, advancing it.
@@ -72,37 +77,50 @@ pub trait FileSystem: Send + Sync {
     /// Positional write; does not move the descriptor position.
     fn pwrite(&self, ctx: &ProcCtx, fd: Fd, data: &[u8], off: u64) -> FsResult<usize>;
 
+    /// Moves the descriptor position; returns the new absolute offset.
     fn lseek(&self, ctx: &ProcCtx, fd: Fd, pos: SeekFrom) -> FsResult<u64>;
 
     /// Flushes file data and metadata to persistent media.
     fn fsync(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<()>;
 
+    /// Metadata of the file an open descriptor refers to.
     fn fstat(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<Stat>;
 
+    /// Sets the file size to `len`, freeing or zero-extending the tail.
     fn ftruncate(&self, ctx: &ProcCtx, fd: Fd, len: u64) -> FsResult<()>;
 
     /// Preallocates `[off, off+len)` (FxMark's DWTL benchmark).
     fn fallocate(&self, ctx: &ProcCtx, fd: Fd, off: u64, len: u64) -> FsResult<()>;
 
+    /// Removes a non-directory name; the file lives on while it has other
+    /// names or open descriptors.
     fn unlink(&self, ctx: &ProcCtx, path: &str) -> FsResult<()>;
 
+    /// Creates an empty directory with `mode`'s permission bits.
     fn mkdir(&self, ctx: &ProcCtx, path: &str, mode: FileMode) -> FsResult<()>;
 
+    /// Removes an empty directory.
     fn rmdir(&self, ctx: &ProcCtx, path: &str) -> FsResult<()>;
 
+    /// Moves `old` to `new` atomically, replacing an existing `new`.
     fn rename(&self, ctx: &ProcCtx, old: &str, new: &str) -> FsResult<()>;
 
+    /// Metadata of `path`, following a final symlink.
     fn stat(&self, ctx: &ProcCtx, path: &str) -> FsResult<Stat>;
 
+    /// Entries of a directory, without `.` and `..`, in no fixed order.
     fn readdir(&self, ctx: &ProcCtx, path: &str) -> FsResult<Vec<DirEntry>>;
 
+    /// Creates `linkpath` as a symbolic link whose contents are `target`.
     fn symlink(&self, ctx: &ProcCtx, target: &str, linkpath: &str) -> FsResult<()>;
 
+    /// Contents of the symbolic link at `path`.
     fn readlink(&self, ctx: &ProcCtx, path: &str) -> FsResult<String>;
 
     /// Hard link: `new` becomes another name for `existing`.
     fn link(&self, ctx: &ProcCtx, existing: &str, new: &str) -> FsResult<()>;
 
+    /// Replaces the permission bits; only root or the owner may.
     fn chmod(&self, ctx: &ProcCtx, path: &str, perm: u16) -> FsResult<()>;
 
     /// Sets access/modification times (tar unpack issues this per file).

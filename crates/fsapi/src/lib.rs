@@ -1,3 +1,4 @@
+#![deny(missing_docs)]
 //! Common file-system interface for the Simurgh reproduction.
 //!
 //! Simurgh is benchmarked against four other file systems across identical

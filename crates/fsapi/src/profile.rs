@@ -102,8 +102,11 @@ impl OpTimers {
 /// The paper's three-way execution-time split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Breakdown {
+    /// Wall time outside any file-system call.
     pub app_ns: u64,
+    /// Time copying file data inside file-system calls.
     pub copy_ns: u64,
+    /// File-system time excluding the data copy.
     pub fs_ns: u64,
 }
 

@@ -8,14 +8,18 @@ pub struct Fd(pub u32);
 /// Kind of a directory entry / inode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FileType {
+    /// A regular file.
     Regular,
+    /// A directory.
     Directory,
+    /// A symbolic link.
     Symlink,
 }
 
 /// Permission bits plus file type, i.e. `st_mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileMode {
+    /// What kind of object this is.
     pub ftype: FileType,
     /// Classic 9-bit rwxrwxrwx permission mask.
     pub perm: u16,
@@ -49,7 +53,9 @@ impl Default for FileMode {
 /// (§3.2); the kernel baselines read them per syscall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Credentials {
+    /// User id; 0 is root.
     pub uid: u32,
+    /// Primary group id.
     pub gid: u32,
 }
 
@@ -92,11 +98,17 @@ pub mod access {
 /// Open flags (subset of POSIX the workloads use).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpenFlags {
+    /// The descriptor may read.
     pub read: bool,
+    /// The descriptor may write.
     pub write: bool,
+    /// `O_CREAT`: create the file if it does not exist.
     pub create: bool,
+    /// `O_EXCL`: with `create`, fail if the path already exists.
     pub excl: bool,
+    /// `O_TRUNC`: cut an existing file to length 0.
     pub truncate: bool,
+    /// `O_APPEND`: every write lands at end of file.
     pub append: bool,
 }
 
@@ -141,8 +153,11 @@ pub struct FsStats {
 /// Seek origin for `lseek`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeekFrom {
+    /// Absolute offset from the start of the file.
     Start(u64),
+    /// Offset relative to the current position.
     Current(i64),
+    /// Offset relative to the end of the file.
     End(i64),
 }
 
@@ -151,14 +166,23 @@ pub enum SeekFrom {
 /// "Inode": the 64-bit persistent pointer acts as the unique inode id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stat {
+    /// Stable inode identifier.
     pub ino: u64,
+    /// File type and permission bits.
     pub mode: FileMode,
+    /// Owner user id.
     pub uid: u32,
+    /// Owner group id.
     pub gid: u32,
+    /// Length in bytes.
     pub size: u64,
+    /// Number of directory entries naming the file.
     pub nlink: u32,
+    /// Last access time, in the implementation's logical clock ticks.
     pub atime: u64,
+    /// Last data modification time, in logical clock ticks.
     pub mtime: u64,
+    /// Last metadata change time, in logical clock ticks.
     pub ctime: u64,
 }
 

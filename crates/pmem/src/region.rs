@@ -113,21 +113,93 @@ enum Backing {
 /// Values that can be stored to and loaded from persistent memory by plain
 /// byte copy.
 ///
+/// Structs get their impl from [`media_struct!`](crate::media_struct), which
+/// pins their layout at compile time. A hand-written impl does not compile:
+/// only that macro and the primitive impls below supply `LAYOUT_PINNED`.
+///
 /// # Safety
 ///
-/// Implementors must be valid for any bit pattern and contain no padding
-/// whose content matters (padding bytes are copied verbatim).
-pub unsafe trait Pod: Copy + 'static {}
+/// Implementors must be valid for any bit pattern and contain no padding.
+pub unsafe trait Pod: Copy + 'static {
+    /// The implementor's compile-time layout checks; evaluating it fails
+    /// the build when the layout drifted.
+    #[doc(hidden)]
+    const LAYOUT_PINNED: ();
+}
 
-// SAFETY: plain integers and byte arrays are valid for every bit pattern
-// and contain no padding.
-unsafe impl Pod for u8 {}
-unsafe impl Pod for u16 {}
-unsafe impl Pod for u32 {}
-unsafe impl Pod for u64 {}
-unsafe impl Pod for i32 {}
-unsafe impl Pod for i64 {}
-unsafe impl<const N: usize> Pod for [u8; N] {}
+/// `Pod` for plain integers, which have no layout to pin.
+macro_rules! integer_pod {
+    ($($t:ty),+) => {$(
+        // SAFETY: plain integers are valid for every bit pattern and contain
+        // no padding.
+        unsafe impl Pod for $t {
+            const LAYOUT_PINNED: () = ();
+        }
+    )+};
+}
+integer_pod!(u8, u16, u32, u64, i32, i64);
+
+// SAFETY: byte arrays are valid for every bit pattern and contain no
+// padding.
+unsafe impl<const N: usize> Pod for [u8; N] {
+    const LAYOUT_PINNED: () = ();
+}
+
+/// Declares an on-media struct and pins its layout at compile time.
+///
+/// The header states the struct's size and alignment, and every field its
+/// byte offset (`@offset`). The macro emits the struct with `#[repr(C)]`
+/// and its [`Pod`] impl, whose checks fail the build unless rustc laid the
+/// struct out exactly as written: size, alignment, every offset, every
+/// field type `Pod`, and field sizes that sum to the size (no padding).
+/// The invocation is therefore the layout's only record.
+///
+/// ```
+/// simurgh_pmem::media_struct! {
+///     /// A 16-byte run descriptor.
+///     #[derive(Debug, Clone, Copy)]
+///     pub struct Run (size 16, align 8) {
+///         /// First byte of the run.
+///         @0 pub start: u64,
+///         @8 pub len: u64,
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! media_struct {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident (size $size:literal, align $align:literal) {
+            $( $(#[$fattr:meta])* @ $off:literal $fvis:vis $field:ident : $ty:ty ),+ $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        #[repr(C)]
+        $vis struct $name {
+            $( $(#[$fattr])* $fvis $field: $ty, )+
+        }
+
+        // SAFETY: `LAYOUT_PINNED` proves at compile time that every field is
+        // `Pod` and that the fields cover all `size` bytes, so the struct has
+        // no padding and is valid for any bit pattern.
+        unsafe impl $crate::Pod for $name {
+            const LAYOUT_PINNED: () = {
+                const fn field_is_pod<T: $crate::Pod>() {}
+                $( field_is_pod::<$ty>(); )+
+                assert!(::core::mem::size_of::<$name>() == $size, "size drifted");
+                assert!(::core::mem::align_of::<$name>() == $align, "alignment drifted");
+                $( assert!(
+                    ::core::mem::offset_of!($name, $field) == $off,
+                    concat!("offset of `", stringify!($field), "` drifted")
+                ); )+
+                assert!(0 $(+ ::core::mem::size_of::<$ty>())+ == $size, "padding between fields");
+            };
+        }
+        // An associated const is evaluated only when used; this use runs the
+        // checks in every build.
+        const _: () = <$name as $crate::Pod>::LAYOUT_PINNED;
+    };
+}
 
 /// Builder for [`PmemRegion`].
 pub struct RegionBuilder {

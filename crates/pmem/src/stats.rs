@@ -1,9 +1,9 @@
 //! Traffic statistics for an emulated NVMM region.
 //!
-//! The paper's Table 1 and Fig. 10 break application runtime into
-//! *application*, *data copy* and *file system* shares. The data-copy share
-//! is derived from the byte counters collected here; the harness samples a
-//! [`StatsSnapshot`] before and after a phase and diffs it.
+//! Byte, flush and fence counters for every region access; the harness
+//! samples a [`StatsSnapshot`] before and after a phase and diffs it. The
+//! *data copy* share of the paper's Table 1 and Fig. 10 breakdowns does not
+//! come from these counters: it is the `Copy` span of `fsapi::OpTimers`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use simurgh_core::{check, testing, SimurghConfig, SimurghFs};
+use simurgh_core::{check, SimurghConfig, SimurghFs};
+use simurgh_crashlab::testing;
 use simurgh_fsapi::{FileMode, FileSystem, OpenFlags, ProcCtx};
 use simurgh_pmem::PmemRegion;
 use simurgh_tests::simurgh;

@@ -1,16 +1,17 @@
 //! Tier-1 crash-matrix smoke: the exhaustive power-cut + ENOSPC matrix of
 //! §4.3, run at full resolution for the namespace-critical ops (create,
-//! both renames) and with head+tail boundary sampling for the rest. The
+//! both renames, both hard-link cells) and with head+tail boundary sampling
+//! for the rest. The
 //! full uncapped sweep lives in `crashlab matrix` (see EXPERIMENTS.md).
 
-use simurgh_core::testing::matrix::{self, RecoveredState};
+use simurgh_crashlab::testing::matrix::{self, RecoveredState};
 
 /// Boundary sample size for the capped ops: enough to cover the early
 /// roll-back region and the late roll-forward region of every protocol.
 const CAP: u64 = 6;
 
 fn run(name: &str, cap: Option<u64>) -> matrix::OpMatrix {
-    let ops = matrix::scripted_ops();
+    let ops: Vec<_> = matrix::scripted_ops().into_iter().chain(matrix::hard_link_ops()).collect();
     let spec = ops.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("unknown op {name}"));
     matrix::run_op_matrix(spec, cap)
 }
@@ -51,6 +52,26 @@ fn rename_samedir_full_matrix() {
 #[test]
 fn rename_crossdir_full_matrix() {
     let m = run("rename-crossdir", None);
+    assert_clean(&m);
+    assert!(!m.capped);
+    assert_eq!(m.cases.len() as u64, m.boundaries + 1);
+}
+
+/// `link` raises `nlink` before it inserts the new entry: a cut between
+/// the two must not leave the count one too high.
+#[test]
+fn link_full_matrix() {
+    let m = run("link", None);
+    assert_clean(&m);
+    assert!(!m.capped);
+    assert_eq!(m.cases.len() as u64, m.boundaries + 1);
+}
+
+/// `unlink` of one of two names retires the entry before it drops `nlink`:
+/// a cut between the two must not leave the count one too high.
+#[test]
+fn unlink_hardlinked_full_matrix() {
+    let m = run("unlink-hardlinked", None);
     assert_clean(&m);
     assert!(!m.capped);
     assert_eq!(m.cases.len() as u64, m.boundaries + 1);

@@ -233,7 +233,7 @@ fn lost_line_authority_falls_back_then_reconverges() {
     assert_eq!(d.chain_walks, 0, "unrelated lines lost their authority");
 
     // A miss on the degraded line needs the chain (no authority to say no)...
-    let ghost = format!("/dir/{}", simurgh_core::testing::colliding_name("f0", "ghost-"));
+    let ghost = format!("/dir/{}", simurgh_crashlab::testing::colliding_name("f0", "ghost-"));
     let before = fs.dir_stats();
     assert!(fs.stat(&CTX, &ghost).is_err());
     let d = fs.dir_stats().since(&before);
@@ -334,7 +334,7 @@ fn same_dir_rename_nospace_leaves_directory_consistent() {
     let (region, first) = fs.testing_dir_block("/dir").unwrap();
     // A destination name whose line collides with "existing": the first
     // block's slot is taken, so the rename must extend the chain.
-    let clash = simurgh_core::testing::colliding_name("existing", "clash");
+    let clash = simurgh_crashlab::testing::colliding_name("existing", "clash");
     let clash_path = format!("/dir/{clash}");
     // Exhaust the DirBlock pool so the chain extension cannot be served.
     while env.meta.alloc(PoolKind::DirBlock).is_ok() {}
@@ -365,7 +365,7 @@ fn cross_dir_rename_nospace_leaves_journal_idle() {
     fs.write_file(&CTX, "/dir/mover2", b"cargo").unwrap();
     let env = fs.testing_dir_env();
     let (region, src) = fs.testing_dir_block("/dir").unwrap();
-    let clash = simurgh_core::testing::colliding_name("anchor", "xclash");
+    let clash = simurgh_crashlab::testing::colliding_name("anchor", "xclash");
     let clash_path = format!("/dst/{clash}");
     while env.meta.alloc(PoolKind::DirBlock).is_ok() {}
 

@@ -5,7 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use simurgh_core::check::check;
-use simurgh_core::{testing, SimurghConfig, SimurghFs};
+use simurgh_core::{SimurghConfig, SimurghFs};
+use simurgh_crashlab::testing;
 use simurgh_fsapi::{FileMode, FileSystem, ProcCtx};
 use simurgh_pmem::PmemRegion;
 use simurgh_tests::{crash_and_remount, simurgh, simurgh_tracked};

@@ -13,8 +13,8 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use simurgh_core::alloc::lock_stats;
-use simurgh_core::testing::matrix::probe_costs;
 use simurgh_core::{check, SimurghConfig, SimurghFs};
+use simurgh_crashlab::testing::matrix::probe_costs;
 use simurgh_fsapi::{FileMode, FileSystem, OpenFlags, ProcCtx};
 use simurgh_pmem::RegionBuilder;
 use simurgh_tests::simurgh;

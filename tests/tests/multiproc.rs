@@ -9,8 +9,8 @@
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 
-use simurgh_core::testing::procs::{self, ProcsOpts};
 use simurgh_core::{check, SimurghConfig, SimurghFs};
+use simurgh_crashlab::testing::procs::{self, ProcsOpts};
 use simurgh_fsapi::{FileMode, FileSystem, ProcCtx};
 use simurgh_pmem::{PmemError, RegionBuilder};
 use simurgh_tests::snapshot_tree;

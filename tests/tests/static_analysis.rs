@@ -1,13 +1,11 @@
 //! Tier-1 gate: the static checker runs over the real workspace sources and
-//! must come back clean, the golden media layouts must match what rustc
-//! actually compiled, and the known-bad fixtures must keep every rule alive.
+//! must come back clean, and the known-bad fixtures must keep every rule
+//! alive. Media layouts are pinned at compile time by
+//! `simurgh_pmem::media_struct!`, not here.
 
 use std::path::{Path, PathBuf};
 
 use simurgh_analyze::{scan_dirs, scan_workspace, Rule};
-use simurgh_core::obj::dirblock::RenameLog;
-use simurgh_core::obj::inode::Extent;
-use simurgh_core::super_block::PoolSeg;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("tests/ has a parent").to_owned()
@@ -32,15 +30,9 @@ fn every_unsafe_site_is_documented() {
         .map(|s| format!("{}:{} {}", s.file, s.line, s.kind))
         .collect();
     assert!(undocumented.is_empty(), "unsafe without SAFETY:\n{}", undocumented.join("\n"));
-}
-
-#[test]
-fn every_pod_media_type_is_manifested() {
-    let report = scan_workspace(&workspace_root()).expect("scan workspace");
-    assert_eq!(
-        report.pod_types,
-        vec!["Extent".to_owned(), "PoolSeg".to_owned(), "RenameLog".to_owned()],
-        "Pod media types changed — update layout.golden and this test"
+    assert!(
+        report.unsafe_sites.iter().any(|s| s.file.contains("crates/crashlab/")),
+        "the scan must cover the crash harness (its kill -9 FFI is unsafe)"
     );
 }
 
@@ -91,81 +83,13 @@ fn fig7_data_assertions_stay_strict() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden layout pinning
-// ---------------------------------------------------------------------------
-
-/// `(size, align, fields)` parsed from one layout.golden line.
-fn golden_entry(name: &str) -> (usize, usize, Vec<(String, usize)>) {
-    let text = std::fs::read_to_string(workspace_root().join("crates/analyze/layout.golden"))
-        .expect("read layout.golden");
-    let line = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .find(|l| l.split_whitespace().next() == Some(name))
-        .unwrap_or_else(|| panic!("{name} missing from layout.golden"));
-    let mut size = None;
-    let mut align = None;
-    let mut fields = Vec::new();
-    for tok in line.split_whitespace().skip(1) {
-        if let Some(v) = tok.strip_prefix("size=") {
-            size = Some(v.parse().unwrap());
-        } else if let Some(v) = tok.strip_prefix("align=") {
-            align = Some(v.parse().unwrap());
-        } else {
-            let (f, off) = tok.split_once('@').unwrap_or_else(|| panic!("bad token {tok}"));
-            fields.push((f.to_owned(), off.parse().unwrap()));
-        }
-    }
-    (size.expect("size="), align.expect("align="), fields)
-}
-
-fn assert_field(fields: &[(String, usize)], name: &str, actual: usize) {
-    let golden =
-        fields.iter().find(|(f, _)| f == name).unwrap_or_else(|| panic!("{name} not golden")).1;
-    assert_eq!(actual, golden, "offset of `{name}` drifted from layout.golden");
-}
-
-#[test]
-fn golden_layouts_match_compiled_structs() {
-    use core::mem::{align_of, offset_of, size_of};
-
-    let (size, align, f) = golden_entry("RenameLog");
-    assert_eq!(size_of::<RenameLog>(), size);
-    assert_eq!(align_of::<RenameLog>(), align);
-    assert_eq!(f.len(), 8, "RenameLog field count");
-    assert_field(&f, "op", offset_of!(RenameLog, op));
-    assert_field(&f, "src_dir", offset_of!(RenameLog, src_dir));
-    assert_field(&f, "dst_dir", offset_of!(RenameLog, dst_dir));
-    assert_field(&f, "inode", offset_of!(RenameLog, inode));
-    assert_field(&f, "old_fentry", offset_of!(RenameLog, old_fentry));
-    assert_field(&f, "new_fentry", offset_of!(RenameLog, new_fentry));
-    assert_field(&f, "old_line", offset_of!(RenameLog, old_line));
-    assert_field(&f, "new_line", offset_of!(RenameLog, new_line));
-
-    let (size, align, f) = golden_entry("PoolSeg");
-    assert_eq!(size_of::<PoolSeg>(), size);
-    assert_eq!(align_of::<PoolSeg>(), align);
-    assert_eq!(f.len(), 2, "PoolSeg field count");
-    assert_field(&f, "start", offset_of!(PoolSeg, start));
-    assert_field(&f, "count", offset_of!(PoolSeg, count));
-
-    let (size, align, f) = golden_entry("Extent");
-    assert_eq!(size_of::<Extent>(), size);
-    assert_eq!(align_of::<Extent>(), align);
-    assert_eq!(f.len(), 2, "Extent field count");
-    assert_field(&f, "start", offset_of!(Extent, start));
-    assert_field(&f, "len", offset_of!(Extent, len));
-}
-
-// ---------------------------------------------------------------------------
 // The rules themselves must stay alive
 // ---------------------------------------------------------------------------
 
 #[test]
 fn every_rule_fires_on_bad_fixtures() {
     let bad = workspace_root().join("crates/analyze/fixtures/bad");
-    let report = scan_dirs(&[bad], &[]).expect("scan bad fixtures");
+    let report = scan_dirs(&[bad]).expect("scan bad fixtures");
     for rule in Rule::ALL {
         assert!(
             report.findings.iter().any(|f| f.rule == rule),
@@ -179,7 +103,7 @@ fn every_rule_fires_on_bad_fixtures() {
 #[test]
 fn good_fixture_is_clean() {
     let good = workspace_root().join("crates/analyze/fixtures/good");
-    let report = scan_dirs(&[good], &["GoodHeader".to_owned()]).expect("scan good fixture");
+    let report = scan_dirs(&[good]).expect("scan good fixture");
     let rendered: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert!(rendered.is_empty(), "good fixture flagged:\n{}", rendered.join("\n"));
     assert!(report.unsafe_sites.iter().all(|s| s.documented));
