@@ -39,12 +39,11 @@
 //!   `for_each_extent`) from inside a loop body of one of those functions
 //!   reintroduces the per-chunk re-walk the extent cursor cache removed.
 //! * **obs-coverage** — the observability layer only catches what it can
-//!   see: every public `FileSystem` op implemented in an `fs.rs` (the fns
-//!   taking a `ProcCtx`) must run inside the `protected_op(` wrapper that
-//!   times it, and every `AtomicU64` counter battery declared in `core`
-//!   must be wired into the `ObsRegistry` (mentioned in the file declaring
-//!   it) — an unregistered counter or an untimed op is invisible to `paper
-//!   obs` and to the flight recorder.
+//!   see: every counter battery declared in `core` — a `counters!`
+//!   invocation or a hand-written struct of `AtomicU64`s — must be wired
+//!   into the `ObsRegistry` (mentioned in the file declaring it). An
+//!   unregistered battery is invisible to `paper obs`. That every op is
+//!   timed is checked at runtime, by a test that issues each wire op.
 //! * **shared-region** — a shared-file mount rebuilds every volatile cache
 //!   per process, trusting only media: any struct in `core` holding a
 //!   cache-shaped container (`HashMap`/`FastMap`/`UnsafeCell`/`SegQueue`)
@@ -949,35 +948,9 @@ fn rule_data_path_walk(file: &SourceFile, report: &mut Report) {
 // Rule 5: observability coverage
 // ---------------------------------------------------------------------------
 
-/// 0-based inclusive line range of the `impl FileSystem for …` block in
-/// `file`, if it declares one.
-fn file_system_impl_range(file: &SourceFile) -> Option<(usize, usize)> {
-    let start =
-        file.lines.iter().position(|l| !l.skip && l.code.contains("impl FileSystem for"))?;
-    let mut depth = 0i64;
-    let mut entered = false;
-    for (ln, line) in file.lines.iter().enumerate().skip(start) {
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                '}' => {
-                    depth -= 1;
-                    if entered && depth <= 0 {
-                        return Some((start, ln));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Some((start, file.lines.len().saturating_sub(1)))
-}
-
-/// `(declaration line, name)` of every struct whose body declares at least
-/// two `AtomicU64`s — the shape of a counter battery (a lone atomic is a
+/// `(declaration line, name)` of every counter battery: a struct declared
+/// in the `counters!` form (`struct Battery / Snapshot {`), or a hand-written
+/// struct whose body declares at least two `AtomicU64`s (a lone atomic is a
 /// clock or a lock word, not a stats surface).
 fn counter_structs(file: &SourceFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
@@ -990,6 +963,12 @@ fn counter_structs(file: &SourceFile) -> Vec<(usize, String)> {
         };
         let name: String = rest.trim_start().chars().take_while(|&c| is_ident(c)).collect();
         if name.is_empty() {
+            continue;
+        }
+        // `counters!` declares the battery's atomics itself: the header's
+        // `/ Snapshot` is the whole tell.
+        if rest.trim_start()[name.len()..].trim_start().starts_with('/') {
+            out.push((ln, name));
             continue;
         }
         let mut depth = 0i64;
@@ -1022,50 +1001,12 @@ fn counter_structs(file: &SourceFile) -> Vec<(usize, String)> {
 }
 
 fn rule_obs_coverage(files: &[SourceFile], report: &mut Report) {
-    // Part A: every public `FileSystem` op implemented in an `fs.rs` must
-    // run inside `protected_op`, the wrapper that times it. The ops proper
-    // all take a `ProcCtx`; fns without one (`name()`-style accessors) are
-    // not ops.
-    for file in files {
-        if !(file.label == "fs.rs" || file.label.ends_with("/fs.rs")) {
-            continue;
-        }
-        let Some((impl_start, impl_end)) = file_system_impl_range(file) else {
-            continue;
-        };
-        for &(s, e) in &function_ranges(file) {
-            if s <= impl_start || e > impl_end {
-                continue;
-            }
-            let Some(name) = declared_fn_name(&file.lines[s].code) else {
-                continue;
-            };
-            let mut sig_end = s;
-            while sig_end < e && !file.lines[sig_end].code.contains('{') {
-                sig_end += 1;
-            }
-            if !(s..=sig_end).any(|l| file.lines[l].code.contains("ProcCtx")) {
-                continue;
-            }
-            let timed = (s..=e).any(|l| has_invocation(&file.lines[l].code, "protected_op"));
-            if !timed && !allowed(file, s, Rule::ObsCoverage) {
-                report.findings.push(Finding {
-                    rule: Rule::ObsCoverage,
-                    file: file.label.clone(),
-                    line: s + 1,
-                    message: format!(
-                        "`FileSystem` op `{name}` runs outside `protected_op(` \
-                         — untimed, so invisible to `paper obs`"
-                    ),
-                });
-            }
-        }
-    }
-
-    // Part B: every AtomicU64 counter battery declared in core must be wired
-    // into the registry — its name must appear in the file declaring
-    // `struct ObsRegistry` (via its snapshot type or a field). With no
-    // registry in scope every battery is by definition unregistered.
+    // Every counter battery declared in core must be wired into the
+    // registry — its name must appear in the file declaring `struct
+    // ObsRegistry` (via its snapshot type or a field). With no registry in
+    // scope every battery is by definition unregistered. Op timing is
+    // checked at runtime instead: `tests/tests/obs_timing.rs` issues every
+    // wire op and asserts that exactly its histogram moved.
     let registry = files
         .iter()
         .find(|f| f.lines.iter().any(|l| !l.skip && l.code.contains("struct ObsRegistry")));
@@ -1890,42 +1831,9 @@ mod tests {
     // ----- obs-coverage ----------------------------------------------------
 
     #[test]
-    fn obs_coverage_bad_untimed_op() {
-        let src = "
-            impl FileSystem for ShadowFs {
-                fn name(&self) -> &str { \"shadow\" }
-                fn open(&self, ctx: &ProcCtx, p: &str) -> FsResult<Fd> {
-                    self.protected_op(RequestKind::Open, OpClass::Walk, || self.do_open(ctx, p))
-                }
-                fn unlink(&self, ctx: &ProcCtx, p: &str) -> FsResult<()> {
-                    self.do_unlink(ctx, p)
-                }
-            }
-        ";
-        let report = scan_files(&[("crates/core/src/fs.rs", src)]);
-        let f: Vec<&Finding> =
-            report.findings.iter().filter(|f| f.rule == Rule::ObsCoverage).collect();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`unlink`"), "{}", f[0].message);
-        // `name()` takes no ProcCtx: an accessor, not an op.
-        assert!(!f.iter().any(|f| f.message.contains("`name`")));
-    }
-
-    #[test]
-    fn obs_coverage_only_applies_to_fs_rs() {
-        let src = "
-            impl FileSystem for RefFs {
-                fn open(&self, ctx: &ProcCtx, p: &str) -> FsResult<Fd> { self.do_open(ctx, p) }
-            }
-        ";
-        let report = scan_files(&[("crates/fsapi/src/reffs.rs", src)]);
-        assert!(report.findings.iter().all(|f| f.rule != Rule::ObsCoverage));
-    }
-
-    #[test]
     fn obs_coverage_bad_unregistered_counter_struct() {
         let registry = "
-            pub struct ObsRegistry { hists: [Histogram; N] }
+            pub struct ObsRegistry { hists: [Histogram; N], pub tally: TallyStats }
             fn absorb(d: &WiredStatsSnapshot) {}
         ";
         let counters = "
@@ -1940,14 +1848,29 @@ mod tests {
             struct Clock {
                 now: AtomicU64,
             }
+            simurgh_pmem::counters! {
+                /// Registered: a field of the registry.
+                pub struct TallyStats / TallyStatsSnapshot {
+                    ticks,
+                }
+            }
+            simurgh_pmem::counters! {
+                /// Nobody registers this one.
+                pub struct HiddenStats / HiddenStatsSnapshot {
+                    /// No `AtomicU64` is spelled out in this form.
+                    drops,
+                    retries,
+                }
+            }
         ";
         let report = scan_files(
             &[("crates/core/src/obs.rs", registry), ("crates/core/src/stats.rs", counters)],
         );
         let f: Vec<&Finding> =
             report.findings.iter().filter(|f| f.rule == Rule::ObsCoverage).collect();
-        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].message.contains("`ShadowStats`"), "{}", f[0].message);
+        assert!(f[1].message.contains("`HiddenStats`"), "{}", f[1].message);
         // A lone AtomicU64 is a clock/lock word, not a counter battery.
         assert!(!f.iter().any(|f| f.message.contains("`Clock`")));
     }
@@ -1965,16 +1888,16 @@ mod tests {
     }
 
     #[test]
-    fn obs_coverage_respects_allow_marker() {
+    fn obs_coverage_allow_marker_exempts_a_battery() {
         let src = "
-            impl FileSystem for ShadowFs {
-                // analyze:allow(obs-coverage): pass-through shim, timed by the inner fs
-                fn open(&self, ctx: &ProcCtx, p: &str) -> FsResult<Fd> {
-                    self.inner.open(ctx, p)
+            simurgh_pmem::counters! {
+                // analyze:allow(obs-coverage): scratch tallies of one test
+                struct ScratchStats / ScratchStatsSnapshot {
+                    a,
                 }
             }
         ";
-        let report = scan_files(&[("crates/core/src/fs.rs", src)]);
+        let report = scan_files(&[("crates/core/src/scratch.rs", src)]);
         assert!(report.findings.iter().all(|f| f.rule != Rule::ObsCoverage));
     }
 

@@ -10,11 +10,12 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use simurgh_fsapi::fs::{DirEntry, FileSystem, OpenTable, ProcCtx};
 use simurgh_fsapi::types::{access, Fd, FileMode, FileType, FsStats, OpenFlags, SeekFrom, Stat};
-use simurgh_fsapi::{path, FsError, FsResult, OpTimers, TimerCategory};
+use simurgh_fsapi::{path, FsError, FsResult};
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::profile::{AllocKind, DirKind, FsProfile, JournalKind};
@@ -25,6 +26,26 @@ const ROOT_INO: u64 = 1;
 const JOURNAL_OFF: u64 = 4096;
 const JOURNAL_LEN: u64 = 4 << 20;
 const SYMLINK_HOPS: usize = 16;
+
+simurgh_pmem::counters! {
+    /// The model's Table 1 time accounting, charged around the same spans
+    /// `perf` attributes to NOVA: every public op, and the data copy inside
+    /// `pread`/`pwrite`.
+    pub struct KernelTimes / KernelTimesSnapshot {
+        /// Nanoseconds inside file-system ops, data copies included.
+        fs_ns,
+        /// Nanoseconds copying file data between NVMM and the caller.
+        copy_ns,
+    }
+}
+
+/// Runs `f`, adding its duration in nanoseconds to `counter`.
+fn timed<R>(counter: &AtomicU64, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let out = f();
+    counter.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    out
+}
 
 // ---------------------------------------------------------------------------
 // Directory index per profile
@@ -285,7 +306,7 @@ pub struct KernelFs {
     pool: BlockPool,
     journal: Journal,
     opens: OpenTable<KOpen>,
-    timers: OpTimers,
+    times: KernelTimes,
     clock: AtomicU64,
 }
 
@@ -320,14 +341,14 @@ impl KernelFs {
             rwsems: Mutex::new(HashMap::new()),
             syscall: SyscallMeter::new(profile.syscall),
             opens: OpenTable::new(),
-            timers: OpTimers::default(),
+            times: KernelTimes::new(),
             clock: AtomicU64::new(1),
         }
     }
 
-    /// Breakdown counters (Table 1 harness).
-    pub fn timers(&self) -> &OpTimers {
-        &self.timers
+    /// The Table 1 time totals so far.
+    pub fn times(&self) -> KernelTimesSnapshot {
+        self.times.snapshot()
     }
 
     /// Number of syscalls charged so far (diagnostics).
@@ -620,7 +641,7 @@ impl FileSystem for KernelFs {
 
     fn open(&self, ctx: &ProcCtx, p: &str, flags: OpenFlags, mode: FileMode) -> FsResult<Fd> {
         self.charge_meta();
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let ino = match self.resolve(ctx, p, true) {
                 Ok(ino) => {
                     if flags.excl && flags.create {
@@ -711,7 +732,7 @@ impl FileSystem for KernelFs {
             self.syscall.charge();
         }
         self.syscall.charge_cycles(self.profile.data_path_cycles);
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let open = self.with_open(ctx, fd)?;
             if !open.flags.read {
                 return Err(FsError::BadFd);
@@ -720,7 +741,7 @@ impl FileSystem for KernelFs {
             let _r = sem.read(); // the shared-file reader bottleneck
             let node = self.node(open.ino)?;
             let n = node.read();
-            self.timers.time(TimerCategory::Copy, || self.read_node(&n, off, buf))
+            timed(&self.times.copy_ns, || self.read_node(&n, off, buf))
         })
     }
 
@@ -744,12 +765,12 @@ impl FileSystem for KernelFs {
             self.syscall.charge();
         }
         self.syscall.charge_cycles(self.profile.data_path_cycles);
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let sem = self.rwsem(open.ino);
             let _w = sem.write();
             let node = self.node(open.ino)?;
             let mut n = node.write();
-            let out = self.timers.time(TimerCategory::Copy, || self.write_node(&mut n, off, data))?;
+            let out = timed(&self.times.copy_ns, || self.write_node(&mut n, off, data))?;
             drop(n);
             if needs_journal {
                 self.journal.meta_op(open.ino);
@@ -832,7 +853,7 @@ impl FileSystem for KernelFs {
 
     fn unlink(&self, ctx: &ProcCtx, p: &str) -> FsResult<()> {
         self.charge_meta();
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let (dir, name) = self.resolve_parent(ctx, p)?;
             let dir_lock = self.dir_locks.get(dir);
             let _dg = dir_lock.lock();
@@ -872,7 +893,7 @@ impl FileSystem for KernelFs {
 
     fn mkdir(&self, ctx: &ProcCtx, p: &str, mode: FileMode) -> FsResult<()> {
         self.charge_meta();
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let (dir, name) = self.resolve_parent(ctx, p)?;
             let now = self.now();
             self.create_in(
@@ -933,7 +954,7 @@ impl FileSystem for KernelFs {
 
     fn rename(&self, ctx: &ProcCtx, old: &str, new: &str) -> FsResult<()> {
         self.charge_meta();
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let (odir, oname) = self.resolve_parent(ctx, old)?;
             let (ndir, nname) = self.resolve_parent(ctx, new)?;
             path::validate_name(nname)?;
@@ -1024,7 +1045,7 @@ impl FileSystem for KernelFs {
 
     fn stat(&self, ctx: &ProcCtx, p: &str) -> FsResult<Stat> {
         self.charge_meta();
-        self.timers.time(TimerCategory::Fs, || {
+        timed(&self.times.fs_ns, || {
             let ino = self.resolve(ctx, p, true)?;
             self.stat_of(ino)
         })

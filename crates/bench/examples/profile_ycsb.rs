@@ -1,4 +1,5 @@
 use simurgh_bench::FsKind;
+use simurgh_fsapi::Breakdown;
 use simurgh_workloads::minikv::{KvOptions, MiniKv};
 use simurgh_workloads::ycsb::{self, Workload, YcsbConfig};
 use std::time::Instant;
@@ -24,11 +25,12 @@ fn main() {
     let kv = MiniKv::open(&fs, "/db", KvOptions::default()).unwrap();
     ycsb::load(&kv, cfg).unwrap();
     ycsb::run(&kv, Workload::A, cfg);
-    fs.timers().reset();
+    let (fs0, ops0, data0) = (fs.obs().fs_ns(), fs.obs().op_count(), fs.data_stats());
     let t = Instant::now();
     ycsb::run(&kv, Workload::F, cfg);
     let wall = t.elapsed().as_nanos() as u64;
-    let b = fs.timers().breakdown(wall);
+    let copy = fs.data_stats().since(&data0).copy_ns;
+    let b = Breakdown::new(wall, fs.obs().fs_ns() - fs0, copy);
     println!("simurgh RunF breakdown: wall={:.1}ms fs={:.1}ms copy={:.1}ms ops={}",
-        wall as f64/1e6, b.fs_ns as f64/1e6, b.copy_ns as f64/1e6, fs.timers().ops());
+        wall as f64/1e6, b.fs_ns as f64/1e6, b.copy_ns as f64/1e6, fs.obs().op_count() - ops0);
 }

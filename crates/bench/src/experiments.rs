@@ -70,7 +70,7 @@ pub fn table1(scale: &Scale) -> Vec<(&'static str, Breakdown)> {
     // YCSB Load A on NOVA.
     {
         let fs = FsKind::make_nova(scale.data_region);
-        fs.timers().reset();
+        let t0 = fs.times();
         let start = Instant::now();
         let kv = MiniKv::open(&fs, "/ycsb", KvOptions::default()).expect("kv");
         ycsb::load(
@@ -84,7 +84,8 @@ pub fn table1(scale: &Scale) -> Vec<(&'static str, Breakdown)> {
         )
         .expect("load");
         let wall = start.elapsed().as_nanos() as u64;
-        rows.push(("YCSB LoadA", fs.timers().breakdown(wall)));
+        let t = fs.times().since(&t0);
+        rows.push(("YCSB LoadA", Breakdown::new(wall, t.fs_ns, t.copy_ns)));
     }
 
     // Tar pack on NOVA.
@@ -92,11 +93,12 @@ pub fn table1(scale: &Scale) -> Vec<(&'static str, Breakdown)> {
         let fs = FsKind::make_nova(scale.data_region);
         let manifest =
             tree::generate(&fs, "/src", TreeSpec::linux_like(scale.tree_scale)).expect("tree");
-        fs.timers().reset();
+        let t0 = fs.times();
         let start = Instant::now();
         tar::pack(&fs, &manifest, "/src.tar").expect("pack");
         let wall = start.elapsed().as_nanos() as u64;
-        rows.push(("Tar Pack", fs.timers().breakdown(wall)));
+        let t = fs.times().since(&t0);
+        rows.push(("Tar Pack", Breakdown::new(wall, t.fs_ns, t.copy_ns)));
     }
 
     // Git commit on NOVA.
@@ -106,11 +108,12 @@ pub fn table1(scale: &Scale) -> Vec<(&'static str, Breakdown)> {
             tree::generate(&fs, "/repo", TreeSpec::linux_like(scale.tree_scale)).expect("tree");
         let mut repo = git::GitRepo::init(&fs, "/repo").expect("init");
         repo.add_all(&manifest).expect("add");
-        fs.timers().reset();
+        let t0 = fs.times();
         let start = Instant::now();
         repo.commit("bench").expect("commit");
         let wall = start.elapsed().as_nanos() as u64;
-        rows.push(("Git Commit", fs.timers().breakdown(wall)));
+        let t = fs.times().since(&t0);
+        rows.push(("Git Commit", Breakdown::new(wall, t.fs_ns, t.copy_ns)));
     }
 
     rows
@@ -355,8 +358,7 @@ fn mixed_metadata_workload(fs: &SimurghFs, rounds: u64) {
 /// One frag-battery sample: the registry's `frag` section for `fs`, as the
 /// same JSON object `paper obs --json` embeds.
 fn frag_sample(fs: &SimurghFs) -> String {
-    let (files, extents) = fs.extent_census();
-    fs.frag_stats().to_json(fs.block_alloc(), files, extents)
+    simurgh_core::compact::frag_json(fs.frag_stats(), fs.block_alloc(), fs.extent_census())
 }
 
 fn frag_gauges(fs: &SimurghFs) -> (u64, u64, u64, u64) {
@@ -542,11 +544,12 @@ pub fn fig10(scale: &Scale) -> Vec<(&'static str, Breakdown)> {
     let fs = FsKind::make_simurgh(scale.data_region);
     let kv = MiniKv::open(&fs, "/ycsb", KvOptions::default()).expect("kv open");
     for wl in std::iter::once(Workload::LoadA).chain(Workload::RUNS) {
-        fs.timers().reset();
+        let (fs0, data0) = (fs.obs().fs_ns(), fs.data_stats());
         let start = Instant::now();
         ycsb::run(&kv, wl, cfg);
         let wall = start.elapsed().as_nanos() as u64;
-        out.push((wl.label(), fs.timers().breakdown(wall)));
+        let copy = fs.data_stats().since(&data0).copy_ns;
+        out.push((wl.label(), Breakdown::new(wall, fs.obs().fs_ns() - fs0, copy)));
     }
     out
 }

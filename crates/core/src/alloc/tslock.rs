@@ -98,36 +98,25 @@ impl Backoff {
 // Process-wide lock battery
 // ---------------------------------------------------------------------------
 
-/// Process-wide busy-wait accounting, exported through the `ObsRegistry`
-/// lock section: blocking acquisitions, crash steals, and backoff rounds.
-/// Tests assert contention deltas (steals/op, spin-rounds/op) against it.
-#[derive(Debug, Default)]
-pub struct LockStats {
-    /// Blocking acquisitions completed (any spin path).
-    pub acquires: AtomicU64,
-    /// Crash steals: a waiter replaced a presumed-dead holder's stamp.
-    pub steals: AtomicU64,
-    /// Backoff rounds burnt across all waits.
-    pub spin_rounds: AtomicU64,
-}
-
-impl LockStats {
-    /// `{"acquires":…,"steals":…,"spin_rounds":…}`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"acquires\":{},\"steals\":{},\"spin_rounds\":{}}}",
-            self.acquires.load(Ordering::Relaxed),
-            self.steals.load(Ordering::Relaxed),
-            self.spin_rounds.load(Ordering::Relaxed)
-        )
+simurgh_pmem::counters! {
+    /// Process-wide busy-wait accounting, exported through the
+    /// `ObsRegistry` lock section: blocking acquisitions, crash steals, and
+    /// backoff rounds. Tests assert contention deltas (steals/op,
+    /// spin-rounds/op) against it.
+    pub struct LockStats / LockStatsSnapshot {
+        /// Blocking acquisitions completed (any spin path).
+        acquires,
+        /// Crash steals: a waiter replaced a presumed-dead holder's stamp.
+        steals,
+        /// Backoff rounds burnt across all waits.
+        spin_rounds,
     }
 }
 
 /// The process-wide [`LockStats`] battery.
 pub fn lock_stats() -> &'static LockStats {
-    use std::sync::OnceLock;
-    static STATS: OnceLock<LockStats> = OnceLock::new();
-    STATS.get_or_init(LockStats::default)
+    static STATS: LockStats = LockStats::new();
+    &STATS
 }
 
 /// A busy-wait lock whose held-state is the acquisition timestamp.
@@ -402,7 +391,7 @@ mod tests {
         // Other tests run concurrently, so the battery is monotone, not exact.
         assert!(stats.acquires.load(Ordering::Relaxed) >= a0 + 2);
         assert!(stats.steals.load(Ordering::Relaxed) > s0);
-        let j = stats.to_json();
+        let j = stats.snapshot().to_json();
         assert!(j.contains("\"acquires\":") && j.contains("\"steals\":"));
     }
 

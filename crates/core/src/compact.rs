@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use simurgh_fsapi::FsResult;
+use simurgh_pmem::stats::json_object;
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::alloc::BlockAlloc;
@@ -137,61 +138,44 @@ pub mod journal {
     }
 }
 
-/// Counter battery for fragmentation and compaction, exported through
-/// [`ObsRegistry::to_json`] as the `frag` section of `paper obs`.
-///
-/// [`ObsRegistry::to_json`]: crate::obs::ObsRegistry::to_json
-#[derive(Debug, Default)]
-pub struct FragStats {
-    /// Completed compaction passes.
-    pub passes: AtomicU64,
-    /// Files whose maps were relocated onto a contiguous run.
-    pub relocated_files: AtomicU64,
-    /// Data blocks moved by those relocations.
-    pub relocated_blocks: AtomicU64,
-    /// Extent-map entries eliminated (old extents − 1 per relocation).
-    pub extents_merged: AtomicU64,
-    /// Relocations skipped because the journal slot was held by a peer.
-    pub skipped_busy: AtomicU64,
-    /// Relocations skipped for lack of a contiguous destination run.
-    pub skipped_nospace: AtomicU64,
-    /// Mid-swap crashes rolled back by mount-time recovery.
-    pub rollbacks: AtomicU64,
+simurgh_pmem::counters! {
+    /// Counter battery for fragmentation and compaction, the counters of
+    /// the `frag` section of `paper obs` (see [`frag_json`]).
+    pub struct FragStats / FragStatsSnapshot {
+        /// Completed compaction passes.
+        passes,
+        /// Files whose maps were relocated onto a contiguous run.
+        relocated_files,
+        /// Data blocks moved by those relocations.
+        relocated_blocks,
+        /// Extent-map entries eliminated (old extents − 1 per relocation).
+        extents_merged,
+        /// Relocations skipped because the journal slot was held by a peer.
+        skipped_busy,
+        /// Relocations skipped for lack of a contiguous destination run.
+        skipped_nospace,
+        /// Mid-swap crashes rolled back by mount-time recovery.
+        rollbacks,
+    }
 }
 
-impl FragStats {
-    /// The `"frag"` JSON object: the counters above plus the live
-    /// fragmentation gauges read off the allocator (free runs, largest
-    /// run, the smallest per-segment largest run, reserved-but-idle tail
-    /// blocks, allocation-pressure events) and the caller-supplied extent
-    /// census (files walked, total extents).
-    pub fn to_json(&self, blocks: &BlockAlloc, files: u64, extents: u64) -> String {
-        let snap = blocks.frag_snapshot();
-        let free_runs: u64 = snap.iter().map(|&(r, _)| r).sum();
-        let max_free_run = snap.iter().map(|&(_, m)| m).max().unwrap_or(0);
-        let min_seg_max_run = snap.iter().map(|&(_, m)| m).min().unwrap_or(0);
-        format!(
-            "{{\"free_runs\":{},\"max_free_run\":{},\"min_seg_max_run\":{},\
-             \"reserved_idle\":{},\"frag_pressure\":{},\"files\":{},\"extents\":{},\
-             \"passes\":{},\"relocated_files\":{},\"relocated_blocks\":{},\
-             \"extents_merged\":{},\"skipped_busy\":{},\"skipped_nospace\":{},\
-             \"rollbacks\":{}}}",
-            free_runs,
-            max_free_run,
-            min_seg_max_run,
-            blocks.reserved_idle_blocks(),
-            blocks.frag_pressure(),
-            files,
-            extents,
-            self.passes.load(Ordering::Relaxed),
-            self.relocated_files.load(Ordering::Relaxed),
-            self.relocated_blocks.load(Ordering::Relaxed),
-            self.extents_merged.load(Ordering::Relaxed),
-            self.skipped_busy.load(Ordering::Relaxed),
-            self.skipped_nospace.load(Ordering::Relaxed),
-            self.rollbacks.load(Ordering::Relaxed),
-        )
-    }
+/// The `"frag"` JSON object of the observability registry: the live
+/// fragmentation gauges read off the allocator (free runs, largest run,
+/// the smallest per-segment largest run, reserved-but-idle tail blocks,
+/// allocation-pressure events), the caller-supplied extent census `(files
+/// walked, total extents)`, then the [`FragStats`] counters.
+pub fn frag_json(stats: &FragStats, blocks: &BlockAlloc, census: (u64, u64)) -> String {
+    let snap = blocks.frag_snapshot();
+    let gauges = [
+        ("free_runs", snap.iter().map(|&(r, _)| r).sum()),
+        ("max_free_run", snap.iter().map(|&(_, m)| m).max().unwrap_or(0)),
+        ("min_seg_max_run", snap.iter().map(|&(_, m)| m).min().unwrap_or(0)),
+        ("reserved_idle", blocks.reserved_idle_blocks()),
+        ("frag_pressure", blocks.frag_pressure()),
+        ("files", census.0),
+        ("extents", census.1),
+    ];
+    json_object(gauges.into_iter().chain(stats.snapshot().fields()))
 }
 
 /// Volatile compaction work queue: candidate inodes harvested by the last

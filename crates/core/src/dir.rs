@@ -30,84 +30,36 @@ use crate::super_block::PoolKind;
 /// repairs the line itself.
 pub const DEFAULT_LINE_MAX_HOLD: Duration = Duration::from_millis(200);
 
-/// Probe accounting for the directory hot paths. Counters are bumped with
-/// relaxed atomics (negligible cost, exact under a quiescent snapshot) and
-/// exist so the O(1) claim of the shared-DRAM index is *asserted* by tests
-/// and exported by the bench harness, not eyeballed.
-#[derive(Default)]
-pub struct DirStats {
-    /// `find_entry` calls (every lookup-by-name, including internal ones).
-    pub lookups: AtomicU64,
-    /// Lookups answered by a verified index hit.
-    pub index_hits: AtomicU64,
-    /// Misses answered authoritatively by per-line completeness.
-    pub index_absent: AtomicU64,
-    /// Stale index entries evicted after failing verification.
-    pub stale_evicted: AtomicU64,
-    /// Fallback chain walks (no index, incomplete line, or stale hit).
-    pub chain_walks: AtomicU64,
-    /// Blocks probed during fallback chain walks.
-    pub chain_probes: AtomicU64,
-    /// Insert-path slot searches resolved by a free-slot hint.
-    pub hint_hits: AtomicU64,
-    /// Stale free-slot hints dropped (slot re-taken before the pop).
-    pub hint_stale: AtomicU64,
-    /// Blocks probed while searching for / extending to a free slot.
-    pub slot_probes: AtomicU64,
-    /// Chain extensions (a new hash block was linked).
-    pub extends: AtomicU64,
-}
-
-impl DirStats {
-    pub fn snapshot(&self) -> DirStatsSnapshot {
-        let r = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        DirStatsSnapshot {
-            lookups: r(&self.lookups),
-            index_hits: r(&self.index_hits),
-            index_absent: r(&self.index_absent),
-            stale_evicted: r(&self.stale_evicted),
-            chain_walks: r(&self.chain_walks),
-            chain_probes: r(&self.chain_probes),
-            hint_hits: r(&self.hint_hits),
-            hint_stale: r(&self.hint_stale),
-            slot_probes: r(&self.slot_probes),
-            extends: r(&self.extends),
-        }
+simurgh_pmem::counters! {
+    /// Probe accounting for the directory hot paths. Counters are bumped
+    /// with relaxed atomics (negligible cost, exact under a quiescent
+    /// snapshot) and exist so the O(1) claim of the shared-DRAM index is
+    /// *asserted* by tests and exported by the bench harness, not eyeballed.
+    pub struct DirStats / DirStatsSnapshot {
+        /// `find_entry` calls (every lookup-by-name, including internal ones).
+        lookups,
+        /// Lookups answered by a verified index hit.
+        index_hits,
+        /// Misses answered authoritatively by per-line completeness.
+        index_absent,
+        /// Stale index entries evicted after failing verification.
+        stale_evicted,
+        /// Fallback chain walks (no index, incomplete line, or stale hit).
+        chain_walks,
+        /// Blocks probed during fallback chain walks.
+        chain_probes,
+        /// Insert-path slot searches resolved by a free-slot hint.
+        hint_hits,
+        /// Stale free-slot hints dropped (slot re-taken before the pop).
+        hint_stale,
+        /// Blocks probed while searching for / extending to a free slot.
+        slot_probes,
+        /// Chain extensions (a new hash block was linked).
+        extends,
     }
-}
-
-/// A point-in-time copy of [`DirStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirStatsSnapshot {
-    pub lookups: u64,
-    pub index_hits: u64,
-    pub index_absent: u64,
-    pub stale_evicted: u64,
-    pub chain_walks: u64,
-    pub chain_probes: u64,
-    pub hint_hits: u64,
-    pub hint_stale: u64,
-    pub slot_probes: u64,
-    pub extends: u64,
 }
 
 impl DirStatsSnapshot {
-    /// Counter deltas since `base` (a snapshot taken earlier).
-    pub fn since(&self, base: &DirStatsSnapshot) -> DirStatsSnapshot {
-        DirStatsSnapshot {
-            lookups: self.lookups - base.lookups,
-            index_hits: self.index_hits - base.index_hits,
-            index_absent: self.index_absent - base.index_absent,
-            stale_evicted: self.stale_evicted - base.stale_evicted,
-            chain_walks: self.chain_walks - base.chain_walks,
-            chain_probes: self.chain_probes - base.chain_probes,
-            hint_hits: self.hint_hits - base.hint_hits,
-            hint_stale: self.hint_stale - base.hint_stale,
-            slot_probes: self.slot_probes - base.slot_probes,
-            extends: self.extends - base.extends,
-        }
-    }
-
     /// Blocks touched per lookup, averaged: the number the scaling tests
     /// pin down as O(1). Index hits and authoritative misses cost one probe
     /// each; fallback walks cost their chain probes.
@@ -116,26 +68,6 @@ impl DirStatsSnapshot {
             return 0.0;
         }
         (self.index_hits + self.index_absent + self.chain_probes) as f64 / self.lookups as f64
-    }
-
-    /// JSON object (hand-rolled: all fields are integers), for the bench
-    /// harness's machine-readable stats export.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"lookups\":{},\"index_hits\":{},\"index_absent\":{},\"stale_evicted\":{},\
-             \"chain_walks\":{},\"chain_probes\":{},\"hint_hits\":{},\"hint_stale\":{},\
-             \"slot_probes\":{},\"extends\":{}}}",
-            self.lookups,
-            self.index_hits,
-            self.index_absent,
-            self.stale_evicted,
-            self.chain_walks,
-            self.chain_probes,
-            self.hint_hits,
-            self.hint_stale,
-            self.slot_probes,
-            self.extends,
-        )
     }
 }
 

@@ -46,89 +46,47 @@ pub const DEFAULT_FILE_MAX_HOLD: Duration = Duration::from_millis(500);
 // Probe accounting
 // ---------------------------------------------------------------------------
 
-/// Probe accounting for the data hot paths, mirroring [`crate::dir::DirStats`].
-/// Counters are bumped with relaxed atomics and exist so the O(1) claim of
-/// the extent cursor cache is *asserted* by tests and exported through the
-/// observability registry (`paper obs --json`), not eyeballed.
-#[derive(Default)]
-pub struct DataStats {
-    /// `read_at` calls.
-    pub reads: AtomicU64,
-    /// `write_at` calls.
-    pub writes: AtomicU64,
-    /// Extents examined while locating / streaming a byte range. With a
-    /// fresh cursor this is exactly the extents *touched* by the op; on the
-    /// fallback path it also counts every extent skipped to reach `off`.
-    pub walk_steps: AtomicU64,
-    /// Full walks of the persistent extent map (cursor rebuilds plus every
-    /// cursor-less fallback locate).
-    pub map_walks: AtomicU64,
-    /// Operations answered from a fresh cursor mirror.
-    pub cursor_hits: AtomicU64,
-    /// Cursor mirrors rebuilt from the persistent map (invalidation or
-    /// first use).
-    pub cursor_rebuilds: AtomicU64,
-    /// Allocation growths (`ensure_allocated` calls that added blocks).
-    pub appends: AtomicU64,
-    /// Growths that extended the tail extent in place via `extend_at`.
-    pub tail_extends: AtomicU64,
-    /// Growths that (also) fell back to the general allocator.
-    pub alloc_fallbacks: AtomicU64,
-    /// General allocations served by a different segment than the thread's
-    /// affinity hint asked for (contention-induced rehashing).
-    pub seg_hops: AtomicU64,
-}
-
-impl DataStats {
-    pub fn snapshot(&self) -> DataStatsSnapshot {
-        let r = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        DataStatsSnapshot {
-            reads: r(&self.reads),
-            writes: r(&self.writes),
-            walk_steps: r(&self.walk_steps),
-            map_walks: r(&self.map_walks),
-            cursor_hits: r(&self.cursor_hits),
-            cursor_rebuilds: r(&self.cursor_rebuilds),
-            appends: r(&self.appends),
-            tail_extends: r(&self.tail_extends),
-            alloc_fallbacks: r(&self.alloc_fallbacks),
-            seg_hops: r(&self.seg_hops),
-        }
+simurgh_pmem::counters! {
+    /// Probe accounting for the data hot paths, mirroring
+    /// [`crate::dir::DirStats`]. Counters are bumped with relaxed atomics
+    /// and exist so the O(1) claim of the extent cursor cache is *asserted*
+    /// by tests and exported through the observability registry (`paper obs
+    /// --json`), not eyeballed.
+    pub struct DataStats / DataStatsSnapshot {
+        /// `read_at` calls.
+        reads,
+        /// `write_at` calls.
+        writes,
+        /// Extents examined while locating / streaming a byte range. With a
+        /// fresh cursor this is exactly the extents *touched* by the op; on
+        /// the fallback path it also counts every extent skipped to reach
+        /// `off`.
+        walk_steps,
+        /// Full walks of the persistent extent map (cursor rebuilds plus
+        /// every cursor-less fallback locate).
+        map_walks,
+        /// Operations answered from a fresh cursor mirror.
+        cursor_hits,
+        /// Cursor mirrors rebuilt from the persistent map (invalidation or
+        /// first use).
+        cursor_rebuilds,
+        /// Allocation growths (`ensure_allocated` calls that added blocks).
+        appends,
+        /// Growths that extended the tail extent in place via `extend_at`.
+        tail_extends,
+        /// Growths that (also) fell back to the general allocator.
+        alloc_fallbacks,
+        /// General allocations served by a different segment than the
+        /// thread's affinity hint asked for (contention-induced rehashing).
+        seg_hops,
+        /// Nanoseconds spent copying file bytes between NVMM and the
+        /// caller's buffer in `read_at`/`write_at`: the *data copy* share
+        /// of the paper's Table 1 and Fig. 10 breakdowns.
+        copy_ns,
     }
-}
-
-/// A point-in-time copy of [`DataStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataStatsSnapshot {
-    pub reads: u64,
-    pub writes: u64,
-    pub walk_steps: u64,
-    pub map_walks: u64,
-    pub cursor_hits: u64,
-    pub cursor_rebuilds: u64,
-    pub appends: u64,
-    pub tail_extends: u64,
-    pub alloc_fallbacks: u64,
-    pub seg_hops: u64,
 }
 
 impl DataStatsSnapshot {
-    /// Counter deltas since `base` (a snapshot taken earlier).
-    pub fn since(&self, base: &DataStatsSnapshot) -> DataStatsSnapshot {
-        DataStatsSnapshot {
-            reads: self.reads - base.reads,
-            writes: self.writes - base.writes,
-            walk_steps: self.walk_steps - base.walk_steps,
-            map_walks: self.map_walks - base.map_walks,
-            cursor_hits: self.cursor_hits - base.cursor_hits,
-            cursor_rebuilds: self.cursor_rebuilds - base.cursor_rebuilds,
-            appends: self.appends - base.appends,
-            tail_extends: self.tail_extends - base.tail_extends,
-            alloc_fallbacks: self.alloc_fallbacks - base.alloc_fallbacks,
-            seg_hops: self.seg_hops - base.seg_hops,
-        }
-    }
-
     /// Extents examined per read/write, averaged: the number the scaling
     /// tests pin down as O(1) — it must stay flat as files fragment.
     pub fn walk_steps_per_op(&self) -> f64 {
@@ -145,26 +103,6 @@ impl DataStatsSnapshot {
             return 0.0;
         }
         self.tail_extends as f64 / self.appends as f64
-    }
-
-    /// JSON object (hand-rolled: all fields are integers), for the bench
-    /// harness's machine-readable stats export.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"reads\":{},\"writes\":{},\"walk_steps\":{},\"map_walks\":{},\
-             \"cursor_hits\":{},\"cursor_rebuilds\":{},\"appends\":{},\
-             \"tail_extends\":{},\"alloc_fallbacks\":{},\"seg_hops\":{}}}",
-            self.reads,
-            self.writes,
-            self.walk_steps,
-            self.map_walks,
-            self.cursor_hits,
-            self.cursor_rebuilds,
-            self.appends,
-            self.tail_extends,
-            self.alloc_fallbacks,
-            self.seg_hops,
-        )
     }
 }
 
@@ -344,6 +282,19 @@ impl<'a> FileEnv<'a> {
         if let Some(s) = self.stats {
             counter(s).fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Runs the copy loop `f`, charging its duration to
+    /// [`DataStats::copy_ns`]. Without stats attached the clock is not read.
+    #[inline]
+    fn time_copy<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(s) = self.stats else {
+            return f();
+        };
+        let start = Instant::now();
+        let out = f();
+        s.copy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
     }
 }
 
@@ -769,11 +720,13 @@ pub fn read_at(env: &FileEnv<'_>, ino: Inode, off: u64, buf: &mut [u8]) -> usize
     }
     let want = buf.len().min((size - off) as usize);
     let mut done = 0usize;
-    stream_extents(env, ino, off, &mut |addr, avail| {
-        let n = (want - done).min(avail as usize);
-        env.region.read_into(addr, &mut buf[done..done + n]);
-        done += n;
-        done < want
+    env.time_copy(|| {
+        stream_extents(env, ino, off, &mut |addr, avail| {
+            let n = (want - done).min(avail as usize);
+            env.region.read_into(addr, &mut buf[done..done + n]);
+            done += n;
+            done < want
+        })
     });
     done
 }
@@ -796,11 +749,13 @@ pub fn write_at(env: &FileEnv<'_>, ino: Inode, off: u64, data: &[u8]) -> FsResul
     }
     // Non-temporal copy of the payload, streaming extent to extent.
     let mut done = 0usize;
-    stream_extents(env, ino, off, &mut |addr, avail| {
-        let n = (data.len() - done).min(avail as usize);
-        r.nt_write_from(addr, &data[done..done + n]);
-        done += n;
-        done < data.len()
+    env.time_copy(|| {
+        stream_extents(env, ino, off, &mut |addr, avail| {
+            let n = (data.len() - done).min(avail as usize);
+            r.nt_write_from(addr, &data[done..done + n]);
+            done += n;
+            done < data.len()
+        })
     });
     if done < data.len() {
         return Err(FsError::Corrupt("write past allocation"));

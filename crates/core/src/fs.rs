@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use simurgh_fsapi::fs::{DirEntry, FileSystem, OpenTable, ProcCtx};
 use simurgh_fsapi::types::{access, Fd, FileMode, FileType, FsStats, OpenFlags, SeekFrom, Stat};
 use simurgh_fsapi::wire::RequestKind;
-use simurgh_fsapi::{path, FsError, FsResult, OpTimers, TimerCategory};
+use simurgh_fsapi::{path, FsError, FsResult};
 use simurgh_pmem::layout::Carver;
 use simurgh_pmem::{PPtr, PmemRegion, PAGE_SIZE};
 use simurgh_protfn::SecurityMode;
@@ -112,20 +112,13 @@ pub struct SimurghFs {
     open_states: Vec<Mutex<HashMap<u64, OpenState>>>,
     clock: AtomicU64,
     cfg: SimurghConfig,
-    timers: OpTimers,
     sec: Security,
     recovery: RecoveryReport,
     /// Shared-DRAM directory index (paper Fig. 3 volatile metadata).
     index: DirIndex,
-    /// Probe accounting for the directory hot paths.
-    dir_stats: dir::DirStats,
-    /// Probe accounting for the file data hot paths.
-    data_stats: file::DataStats,
-    /// Unified observability registry: per-op latency histograms plus the
-    /// single `to_json` export point for every counter battery.
+    /// Unified observability registry: per-op latency histograms, the
+    /// mount's counter batteries and the single `to_json` export point.
     obs: obs::ObsRegistry,
-    /// Fragmentation/compaction counter battery (`frag` obs section).
-    frag: compact::FragStats,
     /// Compactor candidate queue + pressure water-mark (volatile; listed
     /// in [`shared::REBUILDABLE_CACHES`]).
     compactq: compact::CompactQueue,
@@ -361,14 +354,10 @@ impl SimurghFs {
             open_states: (0..OPEN_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             clock: AtomicU64::new(2),
             cfg,
-            timers: OpTimers::default(),
             sec,
             recovery,
             index: DirIndex::new(),
-            dir_stats: dir::DirStats::default(),
-            data_stats: file::DataStats::default(),
             obs: obs::ObsRegistry::default(),
-            frag: compact::FragStats::default(),
             compactq: compact::CompactQueue::default(),
             shared_mode: false,
         };
@@ -415,11 +404,6 @@ impl SimurghFs {
         &self.recovery
     }
 
-    /// Execution-time breakdown counters (Table 1 / Fig. 10 harness).
-    pub fn timers(&self) -> &OpTimers {
-        &self.timers
-    }
-
     /// The underlying region (crash-test harness).
     pub fn region(&self) -> &Arc<PmemRegion> {
         &self.region
@@ -453,17 +437,18 @@ impl SimurghFs {
     /// Snapshot of the directory probe counters (scaling assertions and the
     /// bench harness's stats export).
     pub fn dir_stats(&self) -> dir::DirStatsSnapshot {
-        self.dir_stats.snapshot()
+        self.obs.dir.snapshot()
     }
 
     /// Snapshot of the data-path probe counters (scaling assertions and the
     /// bench harness's stats export).
     pub fn data_stats(&self) -> file::DataStatsSnapshot {
-        self.data_stats.snapshot()
+        self.obs.data.snapshot()
     }
 
-    /// The unified observability registry of this mount (latency histograms
-    /// and the trace-ring export point).
+    /// The unified observability registry of this mount: latency
+    /// histograms, the mount's counter batteries and the op-time totals of
+    /// the Table 1 / Fig. 10 breakdowns.
     pub fn obs(&self) -> &obs::ObsRegistry {
         &self.obs
     }
@@ -477,25 +462,15 @@ impl SimurghFs {
 
     /// One JSON document bundling every counter battery of this mount:
     /// latency histograms, directory and data-path probes, pmem traffic,
-    /// execution-time breakdown and the fault injector (`paper obs --json`).
+    /// execution-time totals and the fault injector (`paper obs --json`).
     pub fn obs_json(&self) -> String {
-        self.obs.to_json(
-            &self.dir_stats(),
-            &self.data_stats(),
-            &self.region.stats().snapshot(),
-            &self.timers,
-            self.meta.faults(),
-            &self.meta,
-            &self.blocks,
-            crate::alloc::lock_stats(),
-            &self.frag,
-            self.extent_census(),
-        )
+        let pmem = self.region.stats().snapshot();
+        self.obs.to_json(&pmem, &self.meta, &self.blocks, self.extent_census())
     }
 
     /// The fragmentation/compaction counter battery of this mount.
     pub fn frag_stats(&self) -> &compact::FragStats {
-        &self.frag
+        &self.obs.frag
     }
 
     /// Census for the `frag` obs section: regular files reachable from the
@@ -556,13 +531,13 @@ impl SimurghFs {
                 env = env.with_cursor(c);
             }
             let _w = file::lock_write(&env, ino);
-            if let Ok(compact::Reloc::Moved(b)) = compact::relocate_file(&env, ino, &self.frag)
+            if let Ok(compact::Reloc::Moved(b)) = compact::relocate_file(&env, ino, &self.obs.frag)
             {
                 nfiles += 1;
                 nblocks += b;
             }
         }
-        self.frag.passes.fetch_add(1, Ordering::Relaxed);
+        self.obs.frag.passes.fetch_add(1, Ordering::Relaxed);
         (nfiles, nblocks)
     }
 
@@ -613,10 +588,10 @@ impl SimurghFs {
 
     /// Runs one `FileSystem` op as a protected-function call (§3): the
     /// entry charge of `class`, then one clock-read pair around the body
-    /// that feeds both the op's latency histogram and the Table 1 `Fs`
-    /// share.
+    /// into the op's latency histogram, whose sums are also the Table 1
+    /// `Fs` share.
     fn protected_op<R>(&self, kind: RequestKind, class: OpClass, f: impl FnOnce() -> R) -> R {
-        self.sec.call(class, || self.obs.time_op(kind, &self.timers, f))
+        self.sec.call(class, || self.obs.time_op(kind, f))
     }
 
     /// Test support: the shared-DRAM directory index of this mount.
@@ -647,14 +622,14 @@ impl SimurghFs {
     fn dir_env(&self) -> DirEnv<'_> {
         let mut env = DirEnv::new(&self.region, &self.meta)
             .with_index(&self.index)
-            .with_stats(&self.dir_stats);
+            .with_stats(&self.obs.dir);
         env.max_hold = self.cfg.line_max_hold;
         env
     }
 
     fn file_env(&self) -> FileEnv<'_> {
         let mut env = FileEnv::new(&self.region, &self.blocks)
-            .with_stats(&self.data_stats)
+            .with_stats(&self.obs.data)
             .with_faults(self.meta.faults());
         env.relaxed = self.cfg.relaxed_writes;
         env.max_hold = self.cfg.file_max_hold;
@@ -837,9 +812,7 @@ impl SimurghFs {
         let env = self.file_env().with_cursor(&open.cursor);
         let _w = file::lock_write(&env, open.ino);
         let off = off.unwrap_or_else(|| open.ino.size(&self.region));
-        let n = self
-            .timers
-            .time(TimerCategory::Copy, || file::write_at(&env, open.ino, off, data))?;
+        let n = file::write_at(&env, open.ino, off, data)?;
         open.ino.set_mtime(&self.region, self.now());
         Ok((off, n))
     }
@@ -850,7 +823,7 @@ impl SimurghFs {
         }
         let env = self.file_env().with_cursor(&open.cursor);
         let _r = file::lock_read(&env, open.ino);
-        Ok(self.timers.time(TimerCategory::Copy, || file::read_at(&env, open.ino, off, buf)))
+        Ok(file::read_at(&env, open.ino, off, buf))
     }
 
     /// The post-resolution half of `open` on an existing inode: type and

@@ -5,17 +5,21 @@
 //! the loop. A user-space NVMM FS has to carry its own observability. This
 //! module is that substrate, three layers deep:
 //!
-//! 1. **[`ObsRegistry`]** — one registry absorbing every counter surface the
-//!    workspace grew separately (`DirStats`, `DataStats`, pmem's
-//!    `StatsSnapshot`, the fsapi `OpTimers` breakdown and the `AllocFaults`
-//!    injector) plus per-op latency histograms, rendered by one
-//!    [`ObsRegistry::to_json`] (exported as `paper obs [--json]`).
+//! 1. **[`ObsRegistry`]** — one registry for every counter surface of a
+//!    mount: per-op latency histograms, the mount's `counters!` batteries
+//!    (`DirStats`, `DataStats`, `FragStats`, [`GatewayStats`]) as fields,
+//!    plus pmem's `StatsSnapshot`, the process-wide `LockStats`, the
+//!    allocator round trips and the `AllocFaults` injector, rendered by one
+//!    [`ObsRegistry::to_json`] (exported as `paper obs [--json]`). It is
+//!    also Simurgh's only clock: the Table 1 / Fig. 10 `fs` time and op
+//!    count are sums over its op histograms, and the `copy` time is
+//!    `DataStats::copy_ns`.
 //! 2. **Latency histograms** — log2-bucket [`Histogram`]s around every
 //!    `FileSystem` op (keyed by the wire table's `RequestKind`) and each
 //!    mount/recovery [`Phase`], driven by [`ObsRegistry::time_op`] and
-//!    reported per op as count/p50/p99/max. Recording costs six relaxed
-//!    atomic RMWs per op: a histogram bucket add and a `fetch_max`, two
-//!    `OpTimers` adds, and the two `fetch_add`s on the process-global trace
+//!    reported per op as count/p50/p99/max. Recording costs five relaxed
+//!    atomic RMWs per op: the histogram's bucket add, `fetch_max` and
+//!    `sum_ns` add, and the two `fetch_add`s on the process-global trace
 //!    sequence that the `OpBegin`/`OpEnd` events take in [`trace`].
 //!    Quantiles are computed at snapshot time.
 //! 3. **Trace ring** — a lock-free fixed-size per-thread ring of
@@ -36,7 +40,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use simurgh_fsapi::wire::RequestKind;
-use simurgh_fsapi::{OpTimers, TimerCategory};
+use simurgh_pmem::stats::{json_object, StatsSnapshot};
+
+use crate::alloc::{lock_stats, AllocFaults, BlockAlloc, LockStats, MetaAllocator};
+use crate::compact::{frag_json, FragStats};
+use crate::dir::DirStats;
+use crate::file::DataStats;
 
 // ---------------------------------------------------------------------------
 // Phase vocabulary
@@ -83,12 +92,13 @@ impl Phase {
 /// (bucket 0 holds 0-ns samples), so 64 buckets cover every `u64`.
 const BUCKETS: usize = 64;
 
-/// A lock-free log2-bucket latency histogram. Recording is one relaxed
-/// `fetch_add` plus one relaxed `fetch_max`; the exact maximum is kept so
-/// the tail is never rounded to a bucket boundary.
+/// A lock-free log2-bucket latency histogram. Recording is two relaxed
+/// `fetch_add`s (bucket and running sum) plus one relaxed `fetch_max`; the
+/// exact maximum is kept so the tail is never rounded to a bucket boundary.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     max_ns: AtomicU64,
+    sum_ns: AtomicU64,
 }
 
 /// Point-in-time quantile summary of one [`Histogram`].
@@ -102,6 +112,8 @@ pub struct HistSnapshot {
     pub p99_ns: u64,
     /// Exact largest sample, in ns.
     pub max_ns: u64,
+    /// Sum of all samples, in ns.
+    pub sum_ns: u64,
 }
 
 impl Default for Histogram {
@@ -118,6 +130,7 @@ impl Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             max_ns: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
         }
     }
 
@@ -129,6 +142,7 @@ impl Histogram {
     pub fn record(&self, ns: u64) {
         self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Inclusive upper bound of bucket `i` in ns.
@@ -140,8 +154,8 @@ impl Histogram {
         }
     }
 
-    /// Captures count/p50/p99/max. Quantiles are bucket upper bounds (≤ one
-    /// power of two above the true value), capped at the exact max.
+    /// Captures count/p50/p99/max/sum. Quantiles are bucket upper bounds
+    /// (≤ one power of two above the true value), capped at the exact max.
     pub fn snapshot(&self) -> HistSnapshot {
         let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count: u64 = counts.iter().sum();
@@ -160,7 +174,8 @@ impl Histogram {
             }
             max_ns
         };
-        HistSnapshot { count, p50_ns: quantile(1, 2), p99_ns: quantile(99, 100), max_ns }
+        let sum_ns = self.sum_ns.load(Ordering::Relaxed);
+        HistSnapshot { count, p50_ns: quantile(1, 2), p99_ns: quantile(99, 100), max_ns, sum_ns }
     }
 }
 
@@ -168,55 +183,44 @@ impl Histogram {
 // Gateway counters
 // ---------------------------------------------------------------------------
 
-/// Counter battery of the `simurgh-served` gateway: connection lifecycle,
-/// admission control and batch-flush accounting. Owned by the
-/// [`ObsRegistry`] so `paper obs` reports a `gateway` section without any
-/// extra plumbing; the serving crate bumps these through
-/// `SimurghFs::obs()`. All fields are relaxed monotonic counters except
-/// [`in_flight`](Self::in_flight), which is a gauge.
-#[derive(Debug, Default)]
-pub struct GatewayStats {
-    /// Connections accepted over the daemon's lifetime.
-    pub connections: AtomicU64,
-    /// Connections closed, for any reason (client EOF, kill, timeout,
-    /// protocol error, shutdown).
-    pub disconnects: AtomicU64,
-    /// Gauge: ops decoded but not yet answered, across all connections.
-    pub in_flight: AtomicU64,
-    /// Ops dispatched into the file system (admission rejections excluded).
-    pub ops: AtomicU64,
-    /// Ops that shared a fence-scope flush with at least one pipelined
-    /// sibling — the gateway's group-commit win.
-    pub batched_ops: AtomicU64,
-    /// Batch flushes: one per drained pipeline burst (fence-scope commit).
-    pub flushes: AtomicU64,
-    /// Requests refused with `Busy` because the in-flight budget was spent.
-    pub admission_rejections: AtomicU64,
-    /// Descriptors force-closed when their connection died with fds open.
-    pub fds_reaped: AtomicU64,
-    /// Connections closed by the idle/half-open deadline.
-    pub idle_timeouts: AtomicU64,
-    /// Connections dropped for unparseable or oversized frames.
-    pub protocol_errors: AtomicU64,
+simurgh_pmem::counters! {
+    /// Counter battery of the `simurgh-served` gateway: connection
+    /// lifecycle, admission control and batch-flush accounting. A field of
+    /// the [`ObsRegistry`] so `paper obs` reports a `gateway` section
+    /// without any extra plumbing; the serving crate bumps these through
+    /// `SimurghFs::obs()`. All fields are relaxed monotonic counters except
+    /// [`in_flight`](Self::in_flight), which is a gauge.
+    pub struct GatewayStats / GatewayStatsSnapshot {
+        /// Connections accepted over the daemon's lifetime.
+        connections,
+        /// Connections closed, for any reason (client EOF, kill, timeout,
+        /// protocol error, shutdown).
+        disconnects,
+        /// Gauge: ops decoded but not yet answered, across all connections.
+        in_flight,
+        /// Ops dispatched into the file system (admission rejections
+        /// excluded).
+        ops,
+        /// Ops that shared a fence-scope flush with at least one pipelined
+        /// sibling — the gateway's group-commit win.
+        batched_ops,
+        /// Batch flushes: one per drained pipeline burst (fence-scope
+        /// commit).
+        flushes,
+        /// Requests refused with `Busy` because the in-flight budget was
+        /// spent.
+        admission_rejections,
+        /// Descriptors force-closed when their connection died with fds
+        /// open.
+        fds_reaped,
+        /// Connections closed by the idle/half-open deadline.
+        idle_timeouts,
+        /// Connections dropped for unparseable or oversized frames.
+        protocol_errors,
+    }
 }
 
 impl GatewayStats {
-    /// An all-zero battery.
-    pub const fn new() -> Self {
-        GatewayStats {
-            connections: AtomicU64::new(0),
-            disconnects: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            batched_ops: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            admission_rejections: AtomicU64::new(0),
-            fds_reaped: AtomicU64::new(0),
-            idle_timeouts: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-        }
-    }
-
     /// Relaxed `+1` on one counter (the gateway's hot-path increment).
     pub fn bump(c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
@@ -226,37 +230,24 @@ impl GatewayStats {
     pub fn get(c: &AtomicU64) -> u64 {
         c.load(Ordering::Relaxed)
     }
-
-    /// The `"gateway"` JSON object of [`ObsRegistry::to_json`].
-    pub fn to_json(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "{{\"connections\":{},\"disconnects\":{},\"in_flight\":{},\"ops\":{},\
-             \"batched_ops\":{},\"flushes\":{},\"admission_rejections\":{},\
-             \"fds_reaped\":{},\"idle_timeouts\":{},\"protocol_errors\":{}}}",
-            g(&self.connections),
-            g(&self.disconnects),
-            g(&self.in_flight),
-            g(&self.ops),
-            g(&self.batched_ops),
-            g(&self.flushes),
-            g(&self.admission_rejections),
-            g(&self.fds_reaped),
-            g(&self.idle_timeouts),
-            g(&self.protocol_errors),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-/// One latency histogram per wire op and per [`Phase`], plus the single
-/// `to_json` front door for every counter surface in the workspace.
+/// One latency histogram per wire op and per [`Phase`], the mount's
+/// counter batteries, and the single `to_json` front door for every
+/// counter surface in the workspace.
 pub struct ObsRegistry {
     ops: [Histogram; RequestKind::COUNT],
     phases: [Histogram; Phase::ALL.len()],
+    /// Directory hot-path probes (`dir` section).
+    pub dir: DirStats,
+    /// Data-path probes and data-copy time (`data` section).
+    pub data: DataStats,
+    /// Fragmentation/compaction counters (`frag` section).
+    pub frag: FragStats,
     /// Serving-gateway counters (`simurgh-served`); zero when this mount
     /// is not behind a daemon.
     pub gateway: GatewayStats,
@@ -278,22 +269,35 @@ impl ObsRegistry {
         ObsRegistry {
             ops: std::array::from_fn(|_| Histogram::new()),
             phases: std::array::from_fn(|_| Histogram::new()),
+            dir: DirStats::new(),
+            data: DataStats::new(),
+            frag: FragStats::new(),
             gateway: GatewayStats::new(),
         }
     }
 
     /// Runs one `FileSystem` op between `OpBegin`/`OpEnd` trace events and
-    /// reads the clock once around it: that one duration feeds both the
-    /// op's latency histogram and the `Fs` share of `timers`.
-    pub fn time_op<R>(&self, kind: RequestKind, timers: &OpTimers, f: impl FnOnce() -> R) -> R {
+    /// reads the clock once around it into the op's latency histogram.
+    pub fn time_op<R>(&self, kind: RequestKind, f: impl FnOnce() -> R) -> R {
         trace(EventKind::OpBegin, kind as u64, 0);
         let start = Instant::now();
         let out = f();
         let ns = nanos(start.elapsed());
         self.ops[kind as usize].record(ns);
-        timers.charge(TimerCategory::Fs, ns);
         trace(EventKind::OpEnd, kind as u64, ns);
         out
+    }
+
+    /// The Table 1 / Fig. 10 `fs` total: nanoseconds spent inside
+    /// `FileSystem` ops (data copies included), summed over the op
+    /// histograms.
+    pub fn fs_ns(&self) -> u64 {
+        self.ops.iter().map(|h| h.snapshot().sum_ns).sum()
+    }
+
+    /// Number of `FileSystem` ops timed, summed over the op histograms.
+    pub fn op_count(&self) -> u64 {
+        self.ops.iter().map(|h| h.snapshot().count).sum()
     }
 
     /// Records an externally measured mount/recovery phase duration.
@@ -330,54 +334,38 @@ impl ObsRegistry {
         format!("{{{}}}", entries.join(","))
     }
 
-    /// Renders the whole unified registry as one JSON object, absorbing the
-    /// previously separate surfaces: `DirStats` (as its snapshot), `DataStats`
-    /// (likewise), pmem traffic, the fsapi `OpTimers` wall-clock breakdown
-    /// and the `AllocFaults` injector counters, plus the latency histograms,
-    /// the allocator round-trip counters ([`MetaAllocator`] pool trips,
-    /// [`BlockAlloc`] segment trips), the process-wide [`LockStats`]
-    /// busy-wait battery and the [`FragStats`] fragmentation/compaction
-    /// battery (with its live allocator gauges and the `(files, extents)`
-    /// census the mount supplies).
-    ///
-    /// [`MetaAllocator`]: crate::alloc::MetaAllocator
-    /// [`BlockAlloc`]: crate::alloc::BlockAlloc
-    /// [`LockStats`]: crate::alloc::LockStats
-    /// [`FragStats`]: crate::compact::FragStats
-    // One parameter per absorbed surface: the registry is the single place
-    // these meet, and the obs-coverage rule keys on the typed signature.
-    #[allow(clippy::too_many_arguments)]
+    /// Renders the whole unified registry as one JSON object: the latency
+    /// histograms and the registry's own batteries, plus what lives outside
+    /// the registry — pmem traffic, the [`MetaAllocator`] pool trips and
+    /// its [`AllocFaults`] injector, the [`BlockAlloc`] segment trips and
+    /// fragmentation gauges, the process-wide [`LockStats`] battery and the
+    /// `(files, extents)` census the mount supplies. The `timers` section
+    /// is derived: `fs_ns` and `ops` from the op histograms, `copy_ns` from
+    /// `DataStats`.
     pub fn to_json(
         &self,
-        dir: &crate::dir::DirStatsSnapshot,
-        data: &crate::file::DataStatsSnapshot,
-        pmem: &simurgh_pmem::stats::StatsSnapshot,
-        timers: &OpTimers,
-        faults: &crate::alloc::AllocFaults,
-        meta: &crate::alloc::MetaAllocator,
-        blocks: &crate::alloc::BlockAlloc,
-        lock: &crate::alloc::LockStats,
-        frag: &crate::compact::FragStats,
+        pmem: &StatsSnapshot,
+        meta: &MetaAllocator,
+        blocks: &BlockAlloc,
         census: (u64, u64),
     ) -> String {
-        let alloc = format!(
-            "{{\"pool_trips\":{},\"seg_trips\":{}}}",
-            meta.pool_trips(),
-            blocks.seg_trips()
-        );
+        let data = self.data.snapshot();
+        let timers = [("fs_ns", self.fs_ns()), ("copy_ns", data.copy_ns), ("ops", self.op_count())];
+        let alloc = [("pool_trips", meta.pool_trips()), ("seg_trips", blocks.seg_trips())];
+        let (faults, lock): (&AllocFaults, &LockStats) = (meta.faults(), lock_stats());
         format!(
             "{{\"latency\":{},\"dir\":{},\"data\":{},\"pmem\":{},\"timers\":{},\
              \"alloc_faults\":{},\"alloc\":{},\"lock\":{},\"gateway\":{},\"frag\":{}}}",
             self.latency_json(),
-            dir.to_json(),
+            self.dir.snapshot().to_json(),
             data.to_json(),
             pmem.to_json(),
-            timers.to_json(),
+            json_object(timers),
             faults.to_json(),
-            alloc,
-            lock.to_json(),
-            self.gateway.to_json(),
-            frag.to_json(blocks, census.0, census.1)
+            json_object(alloc),
+            lock.snapshot().to_json(),
+            self.gateway.snapshot().to_json(),
+            frag_json(&self.frag, blocks, census)
         )
     }
 }
@@ -622,13 +610,13 @@ mod tests {
     #[test]
     fn timer_records_into_registry_and_ring() {
         let reg = ObsRegistry::new();
-        let timers = OpTimers::default();
-        assert_eq!(reg.time_op(RequestKind::Mkdir, &timers, || 7), 7);
+        assert_eq!(reg.time_op(RequestKind::Mkdir, || 7), 7);
         let s = reg.snapshot(RequestKind::Mkdir);
         assert_eq!(s.count, 1);
-        // The same single reading feeds the Table 1 `Fs` share.
-        assert_eq!(timers.ops(), 1);
-        assert_eq!(timers.fs_ns(), s.max_ns);
+        // The same single reading is the Table 1 `Fs` share.
+        assert_eq!(reg.op_count(), 1);
+        assert_eq!(reg.fs_ns(), s.max_ns);
+        assert_eq!(s.sum_ns, s.max_ns);
         let evs = recent(RING_EVENTS);
         let op = RequestKind::Mkdir as u64;
         let begin = evs.iter().any(|e| e.kind == EventKind::OpBegin && e.a == op);

@@ -5,8 +5,8 @@
 //! workloads, so every implementation — `simurgh-core` and each model in
 //! `simurgh-baselines` — speaks the same POSIX-like [`FileSystem`] trait
 //! defined here. The crate also carries the shared vocabulary types
-//! (credentials, modes, stat, errors), path handling, an instrumentation
-//! layer for the paper's execution-time breakdowns (Table 1, Fig. 10), and
+//! (credentials, modes, stat, errors), path handling, the paper's
+//! execution-time breakdown (Table 1, Fig. 10), and
 //! [`reffs::RefFs`], a deliberately simple in-memory reference file system
 //! used as the oracle in differential and property tests.
 
@@ -16,7 +16,7 @@ pub mod error;
 pub mod fs;
 /// Lexical path normalization and name validation.
 pub mod path;
-/// Per-operation instrumentation for the paper's time breakdowns.
+/// The paper's three-way execution-time breakdown.
 pub mod profile;
 /// In-memory reference file system used as the test oracle.
 pub mod reffs;
@@ -27,7 +27,7 @@ pub mod wire;
 
 pub use error::{FsError, FsResult};
 pub use fs::{DirEntry, FileSystem, ProcCtx, TreeEntry};
-pub use profile::{Breakdown, OpTimers, TimerCategory};
+pub use profile::Breakdown;
 pub use types::{Credentials, Fd, FileMode, FileType, FsStats, OpenFlags, SeekFrom, Stat};
 
 /// Maximum file-name length accepted by every implementation (bytes).

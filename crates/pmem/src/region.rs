@@ -201,6 +201,12 @@ macro_rules! media_struct {
     };
 }
 
+/// Relaxed `+n` on one traffic counter of [`PmemStats`].
+#[inline]
+fn count(counter: &AtomicU64, n: usize) {
+    counter.fetch_add(n as u64, std::sync::atomic::Ordering::Relaxed);
+}
+
 /// Builder for [`PmemRegion`].
 pub struct RegionBuilder {
     pages: usize,
@@ -637,7 +643,7 @@ impl PmemRegion {
     #[inline]
     pub fn read<T: Pod>(&self, p: PPtr) -> T {
         self.guard(p, size_of::<T>(), false);
-        self.stats.count_read(size_of::<T>());
+        count(&self.stats.bytes_read, size_of::<T>());
         // SAFETY: bounds checked; T is Pod so any bit pattern is valid.
         unsafe { std::ptr::read_unaligned(self.base.add(p.off() as usize) as *const T) }
     }
@@ -647,7 +653,7 @@ impl PmemRegion {
     #[inline]
     pub fn write<T: Pod>(&self, p: PPtr, val: T) {
         self.guard(p, size_of::<T>(), true);
-        self.stats.count_write(size_of::<T>());
+        count(&self.stats.bytes_written, size_of::<T>());
         // SAFETY: bounds checked.
         unsafe { std::ptr::write_unaligned(self.base.add(p.off() as usize) as *mut T, val) };
         if let Some(t) = &self.tracker {
@@ -659,7 +665,7 @@ impl PmemRegion {
     #[inline]
     pub fn read_into(&self, p: PPtr, buf: &mut [u8]) {
         self.guard(p, buf.len(), false);
-        self.stats.count_read(buf.len());
+        count(&self.stats.bytes_read, buf.len());
         // SAFETY: bounds checked; regions never overlap a caller's buffer.
         unsafe {
             std::ptr::copy_nonoverlapping(self.base.add(p.off() as usize), buf.as_mut_ptr(), buf.len())
@@ -670,7 +676,7 @@ impl PmemRegion {
     #[inline]
     pub fn write_from(&self, p: PPtr, buf: &[u8]) {
         self.guard(p, buf.len(), true);
-        self.stats.count_write(buf.len());
+        count(&self.stats.bytes_written, buf.len());
         // SAFETY: bounds checked.
         unsafe {
             std::ptr::copy_nonoverlapping(buf.as_ptr(), self.base.add(p.off() as usize), buf.len())
@@ -687,7 +693,7 @@ impl PmemRegion {
     #[inline]
     pub fn nt_write_from(&self, p: PPtr, buf: &[u8]) {
         self.guard(p, buf.len(), true);
-        self.stats.count_nt_write(buf.len());
+        count(&self.stats.bytes_nt_written, buf.len());
         // SAFETY: bounds checked.
         unsafe {
             std::ptr::copy_nonoverlapping(buf.as_ptr(), self.base.add(p.off() as usize), buf.len())
@@ -701,7 +707,7 @@ impl PmemRegion {
     /// Zeroes a byte range with regular stores.
     pub fn zero(&self, p: PPtr, len: usize) {
         self.guard(p, len, true);
-        self.stats.count_write(len);
+        count(&self.stats.bytes_written, len);
         // SAFETY: bounds checked.
         unsafe { std::ptr::write_bytes(self.base.add(p.off() as usize), 0, len) };
         if let Some(t) = &self.tracker {
@@ -716,7 +722,7 @@ impl PmemRegion {
     #[inline]
     pub fn flush(&self, p: PPtr, len: usize) {
         self.bounds(p, len.max(1));
-        self.stats.count_flush(len.div_ceil(CACHE_LINE).max(1));
+        count(&self.stats.flushed_lines, len.div_ceil(CACHE_LINE).max(1));
         if let Some(t) = &self.tracker {
             t.stage(self.base, self.len, p.off() as usize, len);
         }
@@ -739,7 +745,7 @@ impl PmemRegion {
     #[inline]
     pub fn fence(&self) {
         if self.defer_to_scope() {
-            self.stats.count_elided_fence();
+            count(&self.stats.fences_elided, 1);
             return;
         }
         self.fence_now();

@@ -1,36 +1,126 @@
-//! Traffic statistics for an emulated NVMM region.
+//! Counter batteries, and the region's traffic battery.
 //!
-//! Byte, flush and fence counters for every region access; the harness
-//! samples a [`StatsSnapshot`] before and after a phase and diffs it. The
+//! A *battery* is a struct of relaxed `AtomicU64` counters: statistics,
+//! not synchronization. A harness samples a snapshot before and after a
+//! phase and diffs the two. Every battery in the workspace is declared once
+//! with [`counters!`](crate::counters), which writes the atomic struct, its
+//! snapshot, the diff and the JSON writer. [`PmemStats`] is this crate's
+//! battery: byte, flush and fence counters for every region access. The
 //! *data copy* share of the paper's Table 1 and Fig. 10 breakdowns does not
-//! come from these counters: it is the `Copy` span of `fsapi::OpTimers`.
+//! come from these counters: it is the time the file system charges to its
+//! own data battery around the copy loop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of region traffic. All counters use relaxed atomics:
-/// they are statistics, not synchronization.
-#[derive(Default)]
-pub struct PmemStats {
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    bytes_nt_written: AtomicU64,
-    flushed_lines: AtomicU64,
-    fences: AtomicU64,
-    fences_elided: AtomicU64,
+/// Declares a counter battery and its snapshot type.
+///
+/// The header names both types (`struct Battery / Snapshot`); each field is
+/// a counter name with its doc comment. The macro emits:
+///
+/// * the battery: one `pub` relaxed `AtomicU64` per field, `Debug`,
+///   `Default`, a `const fn new()` (so a battery can be a `static`) and
+///   `snapshot()`;
+/// * the `Copy` snapshot: the same fields and docs as `u64`, `since()` (a
+///   counter-wise difference, saturating at zero), `fields()` and
+///   `to_json()`, one object keyed by field name in declaration order.
+///
+/// Derived ratios and non-counter gauges stay hand-written next to the
+/// invocation.
+///
+/// ```
+/// simurgh_pmem::counters! {
+///     /// Lookups of a cache.
+///     pub struct CacheStats / CacheStatsSnapshot {
+///         /// Lookups answered from the cache.
+///         hits,
+///         /// Lookups that went to the backing store.
+///         misses,
+///     }
+/// }
+/// static CACHE: CacheStats = CacheStats::new();
+/// let before = CACHE.snapshot();
+/// CACHE.hits.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+/// let delta = CACHE.snapshot().since(&before);
+/// assert_eq!(delta.to_json(), r#"{"hits":2,"misses":0}"#);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident / $snap:ident {
+            $( $(#[$fattr:meta])* $field:ident ),+ $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $( $(#[$fattr])* pub $field: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        impl $name {
+            /// An all-zero battery.
+            pub const fn new() -> Self {
+                $name { $( $field: ::std::sync::atomic::AtomicU64::new(0), )+ }
+            }
+
+            /// Reads every counter (relaxed loads: exact when quiescent).
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )+
+                }
+            }
+        }
+
+        #[doc = concat!("A point-in-time copy of [`", stringify!($name), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snap {
+            $( $(#[$fattr])* pub $field: u64, )+
+        }
+
+        impl $snap {
+            /// Counter-wise difference `self - earlier`, saturating at zero.
+            pub fn since(&self, earlier: &$snap) -> $snap {
+                $snap { $( $field: self.$field.saturating_sub(earlier.$field), )+ }
+            }
+
+            /// `(name, value)` of every counter, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (stringify!($field), self.$field) ),+].into_iter()
+            }
+
+            /// One single-line JSON object keyed by field name.
+            pub fn to_json(&self) -> String {
+                $crate::stats::json_object(self.fields())
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    pub bytes_nt_written: u64,
-    pub flushed_lines: u64,
-    pub fences: u64,
-    /// Fences requested while a [`FenceScope`](crate::FenceScope) was active
-    /// on the calling thread and therefore deferred to the scope's single
-    /// closing `sfence` — the group-commit win, directly observable.
-    pub fences_elided: u64,
+/// Renders `(key, value)` pairs as one single-line JSON object, in order.
+pub fn json_object(fields: impl IntoIterator<Item = (&'static str, u64)>) -> String {
+    let body: Vec<String> = fields.into_iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{{}}}", body.join(","))
+}
+
+crate::counters! {
+    /// Monotonic counters of region traffic.
+    pub struct PmemStats / StatsSnapshot {
+        /// Bytes loaded from the region.
+        bytes_read,
+        /// Bytes stored through the cache (regular stores).
+        bytes_written,
+        /// Bytes stored with non-temporal stores.
+        bytes_nt_written,
+        /// Cache lines written back (`clwb`).
+        flushed_lines,
+        /// Store fences issued (`sfence`).
+        fences,
+        /// Fences requested while a [`FenceScope`](crate::FenceScope) was
+        /// active on the calling thread and therefore deferred to the
+        /// scope's single closing `sfence` — the group-commit win, directly
+        /// observable.
+        fences_elided,
+    }
 }
 
 impl StatsSnapshot {
@@ -38,75 +128,14 @@ impl StatsSnapshot {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_read + self.bytes_written + self.bytes_nt_written
     }
-
-    /// Counter-wise difference `self - earlier` (saturating).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            bytes_nt_written: self.bytes_nt_written.saturating_sub(earlier.bytes_nt_written),
-            flushed_lines: self.flushed_lines.saturating_sub(earlier.flushed_lines),
-            fences: self.fences.saturating_sub(earlier.fences),
-            fences_elided: self.fences_elided.saturating_sub(earlier.fences_elided),
-        }
-    }
-
-    /// Renders the snapshot as a single-line JSON object, for embedding in
-    /// the harness's machine-readable probe output.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bytes_read\":{},\"bytes_written\":{},\"bytes_nt_written\":{},\
-             \"flushed_lines\":{},\"fences\":{},\"fences_elided\":{}}}",
-            self.bytes_read, self.bytes_written, self.bytes_nt_written, self.flushed_lines,
-            self.fences, self.fences_elided
-        )
-    }
 }
 
 impl PmemStats {
-    #[inline]
-    pub(crate) fn count_read(&self, bytes: usize) {
-        self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_write(&self, bytes: usize) {
-        self.bytes_written.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_nt_write(&self, bytes: usize) {
-        self.bytes_nt_written.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_flush(&self, lines: usize) {
-        self.flushed_lines.fetch_add(lines as u64, Ordering::Relaxed);
-    }
-
     /// Counts one fence and returns the new running total (the region's
     /// fence hook reports it as the sfence-boundary number).
     #[inline]
     pub(crate) fn count_fence(&self) -> u64 {
         self.fences.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Counts one fence request absorbed by an active group-commit scope.
-    #[inline]
-    pub(crate) fn count_elided_fence(&self) {
-        self.fences_elided.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Captures the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            bytes_nt_written: self.bytes_nt_written.load(Ordering::Relaxed),
-            flushed_lines: self.flushed_lines.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            fences_elided: self.fences_elided.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -114,47 +143,56 @@ impl PmemStats {
 mod tests {
     use super::*;
 
+    /// A battery can be a `static`: `new` is a `const fn`.
+    static STATIC_BATTERY: PmemStats = PmemStats::new();
+
     #[test]
     fn snapshot_diff() {
-        let s = PmemStats::default();
-        s.count_read(10);
+        let s = &STATIC_BATTERY;
+        s.bytes_read.fetch_add(10, Ordering::Relaxed);
         let a = s.snapshot();
-        s.count_read(5);
-        s.count_write(3);
-        s.count_nt_write(2);
-        s.count_fence();
-        let b = s.snapshot();
-        let d = b.since(&a);
+        s.bytes_read.fetch_add(5, Ordering::Relaxed);
+        s.bytes_written.fetch_add(3, Ordering::Relaxed);
+        s.bytes_nt_written.fetch_add(2, Ordering::Relaxed);
+        assert_eq!(s.count_fence(), a.fences + 1);
+        let d = s.snapshot().since(&a);
         assert_eq!(d.bytes_read, 5);
         assert_eq!(d.bytes_written, 3);
         assert_eq!(d.bytes_nt_written, 2);
         assert_eq!(d.fences, 1);
+        assert_eq!(d.flushed_lines, 0);
         assert_eq!(d.bytes_total(), 10);
+        assert_eq!(PmemStats::default().snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn json_lists_every_counter() {
         let snap = StatsSnapshot { bytes_read: 1, fences: 5, ..Default::default() };
-        let j = snap.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "bytes_read",
-            "bytes_written",
-            "bytes_nt_written",
-            "flushed_lines",
-            "fences",
-            "fences_elided",
-        ] {
-            assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
-        }
-        assert!(j.contains("\"bytes_read\":1"));
-        assert!(j.contains("\"fences\":5"));
+        // Keys are the field names in declaration order.
+        assert_eq!(
+            snap.to_json(),
+            "{\"bytes_read\":1,\"bytes_written\":0,\"bytes_nt_written\":0,\
+             \"flushed_lines\":0,\"fences\":5,\"fences_elided\":0}"
+        );
+        let keys: Vec<&str> = snap.fields().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "bytes_read",
+                "bytes_written",
+                "bytes_nt_written",
+                "flushed_lines",
+                "fences",
+                "fences_elided"
+            ]
+        );
     }
 
     #[test]
     fn since_saturates() {
-        let newer = StatsSnapshot { bytes_read: 1, ..Default::default() };
-        let older = StatsSnapshot { bytes_read: 5, ..Default::default() };
-        assert_eq!(newer.since(&older).bytes_read, 0);
+        let newer = StatsSnapshot { bytes_read: 1, fences_elided: 7, ..Default::default() };
+        let older = StatsSnapshot { bytes_read: 5, fences_elided: 9, ..Default::default() };
+        assert_eq!(newer.since(&older), StatsSnapshot::default());
+        assert_eq!(older.since(&newer).bytes_read, 4);
     }
 }

@@ -150,6 +150,7 @@ fn paper_obs_json_has_the_pinned_shape() {
                 "tail_extends",
                 "alloc_fallbacks",
                 "seg_hops",
+                "copy_ns",
             ],
         ),
         (
