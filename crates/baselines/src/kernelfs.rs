@@ -28,13 +28,10 @@ const JOURNAL_LEN: u64 = 4 << 20;
 const SYMLINK_HOPS: usize = 16;
 
 simurgh_pmem::counters! {
-    /// The model's Table 1 time accounting, charged around the same spans
-    /// `perf` attributes to NOVA: every public op, and the data copy inside
-    /// `pread`/`pwrite`.
+    /// Table 1 time totals: ns inside file-system ops (copies included)
+    /// and ns of those spent copying file data.
     pub struct KernelTimes / KernelTimesSnapshot {
-        /// Nanoseconds inside file-system ops, data copies included.
         fs_ns,
-        /// Nanoseconds copying file data between NVMM and the caller.
         copy_ns,
     }
 }

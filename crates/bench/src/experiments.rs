@@ -5,6 +5,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use simurgh_baselines::KernelFs;
 use simurgh_core::{SimurghConfig, SimurghFs};
 use simurgh_fsapi::{Breakdown, FileSystem};
 use simurgh_pmem::clock::NvmmPerfModel;
@@ -62,59 +63,54 @@ fn gibs(r: &BenchResult) -> f64 {
 // Table 1 — NOVA execution-time breakdown
 // ---------------------------------------------------------------------------
 
+/// Runs `phase` on the NOVA model `fs` and splits its wall time by the
+/// model's time totals.
+fn nova_breakdown<R>(fs: &KernelFs, phase: impl FnOnce() -> R) -> Breakdown {
+    let t0 = fs.times();
+    let start = Instant::now();
+    phase();
+    let wall = start.elapsed().as_nanos() as u64;
+    let t = fs.times().since(&t0);
+    Breakdown::new(wall, t.fs_ns, t.copy_ns)
+}
+
 /// Table 1: share of runtime spent in the application, in data copies and
 /// in file-system code, for three applications running on the NOVA model.
 pub fn table1(scale: &Scale) -> Vec<(&'static str, Breakdown)> {
     let mut rows = Vec::new();
 
     // YCSB Load A on NOVA.
-    {
-        let fs = FsKind::make_nova(scale.data_region);
-        let t0 = fs.times();
-        let start = Instant::now();
-        let kv = MiniKv::open(&fs, "/ycsb", KvOptions::default()).expect("kv");
-        ycsb::load(
-            &kv,
-            YcsbConfig {
-                records: scale.ycsb_records,
-                ops: scale.ycsb_ops,
-                threads: 1,
-                value_size: 1024,
-            },
-        )
-        .expect("load");
-        let wall = start.elapsed().as_nanos() as u64;
-        let t = fs.times().since(&t0);
-        rows.push(("YCSB LoadA", Breakdown::new(wall, t.fs_ns, t.copy_ns)));
-    }
+    let fs = FsKind::make_nova(scale.data_region);
+    let load = YcsbConfig {
+        records: scale.ycsb_records,
+        ops: scale.ycsb_ops,
+        threads: 1,
+        value_size: 1024,
+    };
+    rows.push((
+        "YCSB LoadA",
+        nova_breakdown(&fs, || {
+            let kv = MiniKv::open(&fs, "/ycsb", KvOptions::default()).expect("kv");
+            ycsb::load(&kv, load).expect("load");
+        }),
+    ));
 
     // Tar pack on NOVA.
-    {
-        let fs = FsKind::make_nova(scale.data_region);
-        let manifest =
-            tree::generate(&fs, "/src", TreeSpec::linux_like(scale.tree_scale)).expect("tree");
-        let t0 = fs.times();
-        let start = Instant::now();
-        tar::pack(&fs, &manifest, "/src.tar").expect("pack");
-        let wall = start.elapsed().as_nanos() as u64;
-        let t = fs.times().since(&t0);
-        rows.push(("Tar Pack", Breakdown::new(wall, t.fs_ns, t.copy_ns)));
-    }
+    let fs = FsKind::make_nova(scale.data_region);
+    let manifest =
+        tree::generate(&fs, "/src", TreeSpec::linux_like(scale.tree_scale)).expect("tree");
+    rows.push((
+        "Tar Pack",
+        nova_breakdown(&fs, || tar::pack(&fs, &manifest, "/src.tar").expect("pack")),
+    ));
 
     // Git commit on NOVA.
-    {
-        let fs = FsKind::make_nova(scale.data_region);
-        let manifest =
-            tree::generate(&fs, "/repo", TreeSpec::linux_like(scale.tree_scale)).expect("tree");
-        let mut repo = git::GitRepo::init(&fs, "/repo").expect("init");
-        repo.add_all(&manifest).expect("add");
-        let t0 = fs.times();
-        let start = Instant::now();
-        repo.commit("bench").expect("commit");
-        let wall = start.elapsed().as_nanos() as u64;
-        let t = fs.times().since(&t0);
-        rows.push(("Git Commit", Breakdown::new(wall, t.fs_ns, t.copy_ns)));
-    }
+    let fs = FsKind::make_nova(scale.data_region);
+    let manifest =
+        tree::generate(&fs, "/repo", TreeSpec::linux_like(scale.tree_scale)).expect("tree");
+    let mut repo = git::GitRepo::init(&fs, "/repo").expect("init");
+    repo.add_all(&manifest).expect("add");
+    rows.push(("Git Commit", nova_breakdown(&fs, || repo.commit("bench").expect("commit"))));
 
     rows
 }

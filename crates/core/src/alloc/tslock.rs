@@ -99,10 +99,9 @@ impl Backoff {
 // ---------------------------------------------------------------------------
 
 simurgh_pmem::counters! {
-    /// Process-wide busy-wait accounting, exported through the
-    /// `ObsRegistry` lock section: blocking acquisitions, crash steals, and
-    /// backoff rounds. Tests assert contention deltas (steals/op,
-    /// spin-rounds/op) against it.
+    /// Process-wide busy-wait accounting, exported through the `ObsRegistry`
+    /// lock section: blocking acquisitions, crash steals, and backoff rounds.
+    /// Tests assert contention deltas (steals/op, spin-rounds/op) against it.
     pub struct LockStats / LockStatsSnapshot {
         /// Blocking acquisitions completed (any spin path).
         acquires,

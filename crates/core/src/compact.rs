@@ -139,8 +139,10 @@ pub mod journal {
 }
 
 simurgh_pmem::counters! {
-    /// Counter battery for fragmentation and compaction, the counters of
-    /// the `frag` section of `paper obs` (see [`frag_json`]).
+    /// Counter battery for fragmentation and compaction, exported through
+    /// [`ObsRegistry::to_json`] as the `frag` section of `paper obs`.
+    ///
+    /// [`ObsRegistry::to_json`]: crate::obs::ObsRegistry::to_json
     pub struct FragStats / FragStatsSnapshot {
         /// Completed compaction passes.
         passes,
@@ -159,11 +161,11 @@ simurgh_pmem::counters! {
     }
 }
 
-/// The `"frag"` JSON object of the observability registry: the live
-/// fragmentation gauges read off the allocator (free runs, largest run,
-/// the smallest per-segment largest run, reserved-but-idle tail blocks,
-/// allocation-pressure events), the caller-supplied extent census `(files
-/// walked, total extents)`, then the [`FragStats`] counters.
+/// The `"frag"` JSON object: the counters above plus the live
+/// fragmentation gauges read off the allocator (free runs, largest
+/// run, the smallest per-segment largest run, reserved-but-idle tail
+/// blocks, allocation-pressure events) and the caller-supplied extent
+/// census (files walked, total extents).
 pub fn frag_json(stats: &FragStats, blocks: &BlockAlloc, census: (u64, u64)) -> String {
     let snap = blocks.frag_snapshot();
     let gauges = [

@@ -31,10 +31,10 @@ use crate::super_block::PoolKind;
 pub const DEFAULT_LINE_MAX_HOLD: Duration = Duration::from_millis(200);
 
 simurgh_pmem::counters! {
-    /// Probe accounting for the directory hot paths. Counters are bumped
-    /// with relaxed atomics (negligible cost, exact under a quiescent
-    /// snapshot) and exist so the O(1) claim of the shared-DRAM index is
-    /// *asserted* by tests and exported by the bench harness, not eyeballed.
+    /// Probe accounting for the directory hot paths. Counters are bumped with
+    /// relaxed atomics (negligible cost, exact under a quiescent snapshot) and
+    /// exist so the O(1) claim of the shared-DRAM index is *asserted* by tests
+    /// and exported by the bench harness, not eyeballed.
     pub struct DirStats / DirStatsSnapshot {
         /// `find_entry` calls (every lookup-by-name, including internal ones).
         lookups,

@@ -47,23 +47,21 @@ pub const DEFAULT_FILE_MAX_HOLD: Duration = Duration::from_millis(500);
 // ---------------------------------------------------------------------------
 
 simurgh_pmem::counters! {
-    /// Probe accounting for the data hot paths, mirroring
-    /// [`crate::dir::DirStats`]. Counters are bumped with relaxed atomics
-    /// and exist so the O(1) claim of the extent cursor cache is *asserted*
-    /// by tests and exported through the observability registry (`paper obs
-    /// --json`), not eyeballed.
+    /// Probe accounting for the data hot paths, mirroring [`crate::dir::DirStats`].
+    /// Counters are bumped with relaxed atomics and exist so the O(1) claim of
+    /// the extent cursor cache is *asserted* by tests and exported through the
+    /// observability registry (`paper obs --json`), not eyeballed.
     pub struct DataStats / DataStatsSnapshot {
         /// `read_at` calls.
         reads,
         /// `write_at` calls.
         writes,
         /// Extents examined while locating / streaming a byte range. With a
-        /// fresh cursor this is exactly the extents *touched* by the op; on
-        /// the fallback path it also counts every extent skipped to reach
-        /// `off`.
+        /// fresh cursor this is exactly the extents *touched* by the op; on the
+        /// fallback path it also counts every extent skipped to reach `off`.
         walk_steps,
-        /// Full walks of the persistent extent map (cursor rebuilds plus
-        /// every cursor-less fallback locate).
+        /// Full walks of the persistent extent map (cursor rebuilds plus every
+        /// cursor-less fallback locate).
         map_walks,
         /// Operations answered from a fresh cursor mirror.
         cursor_hits,
@@ -76,12 +74,11 @@ simurgh_pmem::counters! {
         tail_extends,
         /// Growths that (also) fell back to the general allocator.
         alloc_fallbacks,
-        /// General allocations served by a different segment than the
-        /// thread's affinity hint asked for (contention-induced rehashing).
+        /// General allocations served by a different segment than the thread's
+        /// affinity hint asked for (contention-induced rehashing).
         seg_hops,
-        /// Nanoseconds spent copying file bytes between NVMM and the
-        /// caller's buffer in `read_at`/`write_at`: the *data copy* share
-        /// of the paper's Table 1 and Fig. 10 breakdowns.
+        /// Nanoseconds spent in the copy loop of `read_at`/`write_at`: the
+        /// *data copy* share of the paper's Table 1 and Fig. 10.
         copy_ns,
     }
 }
@@ -288,9 +285,7 @@ impl<'a> FileEnv<'a> {
     /// [`DataStats::copy_ns`]. Without stats attached the clock is not read.
     #[inline]
     fn time_copy<R>(&self, f: impl FnOnce() -> R) -> R {
-        let Some(s) = self.stats else {
-            return f();
-        };
+        let Some(s) = self.stats else { return f() };
         let start = Instant::now();
         let out = f();
         s.copy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -5,15 +5,11 @@
 //! the loop. A user-space NVMM FS has to carry its own observability. This
 //! module is that substrate, three layers deep:
 //!
-//! 1. **[`ObsRegistry`]** — one registry for every counter surface of a
-//!    mount: per-op latency histograms, the mount's `counters!` batteries
-//!    (`DirStats`, `DataStats`, `FragStats`, [`GatewayStats`]) as fields,
-//!    plus pmem's `StatsSnapshot`, the process-wide `LockStats`, the
-//!    allocator round trips and the `AllocFaults` injector, rendered by one
-//!    [`ObsRegistry::to_json`] (exported as `paper obs [--json]`). It is
-//!    also Simurgh's only clock: the Table 1 / Fig. 10 `fs` time and op
-//!    count are sums over its op histograms, and the `copy` time is
-//!    `DataStats::copy_ns`.
+//! 1. **[`ObsRegistry`]** — per-op latency histograms and the mount's
+//!    `counters!` batteries, plus every other counter surface, rendered by
+//!    one [`ObsRegistry::to_json`] (exported as `paper obs [--json]`). It
+//!    is Simurgh's only clock: Table 1 / Fig. 10 read their `fs` time from
+//!    the op histograms and their `copy` time from `DataStats::copy_ns`.
 //! 2. **Latency histograms** — log2-bucket [`Histogram`]s around every
 //!    `FileSystem` op (keyed by the wire table's `RequestKind`) and each
 //!    mount/recovery [`Phase`], driven by [`ObsRegistry::time_op`] and
@@ -184,10 +180,10 @@ impl Histogram {
 // ---------------------------------------------------------------------------
 
 simurgh_pmem::counters! {
-    /// Counter battery of the `simurgh-served` gateway: connection
-    /// lifecycle, admission control and batch-flush accounting. A field of
-    /// the [`ObsRegistry`] so `paper obs` reports a `gateway` section
-    /// without any extra plumbing; the serving crate bumps these through
+    /// Counter battery of the `simurgh-served` gateway: connection lifecycle,
+    /// admission control and batch-flush accounting. Owned by the
+    /// [`ObsRegistry`] so `paper obs` reports a `gateway` section without any
+    /// extra plumbing; the serving crate bumps these through
     /// `SimurghFs::obs()`. All fields are relaxed monotonic counters except
     /// [`in_flight`](Self::in_flight), which is a gauge.
     pub struct GatewayStats / GatewayStatsSnapshot {
@@ -198,37 +194,21 @@ simurgh_pmem::counters! {
         disconnects,
         /// Gauge: ops decoded but not yet answered, across all connections.
         in_flight,
-        /// Ops dispatched into the file system (admission rejections
-        /// excluded).
+        /// Ops dispatched into the file system (admission rejections excluded).
         ops,
         /// Ops that shared a fence-scope flush with at least one pipelined
         /// sibling — the gateway's group-commit win.
         batched_ops,
-        /// Batch flushes: one per drained pipeline burst (fence-scope
-        /// commit).
+        /// Batch flushes: one per drained pipeline burst (fence-scope commit).
         flushes,
-        /// Requests refused with `Busy` because the in-flight budget was
-        /// spent.
+        /// Requests refused with `Busy` because the in-flight budget was spent.
         admission_rejections,
-        /// Descriptors force-closed when their connection died with fds
-        /// open.
+        /// Descriptors force-closed when their connection died with fds open.
         fds_reaped,
         /// Connections closed by the idle/half-open deadline.
         idle_timeouts,
         /// Connections dropped for unparseable or oversized frames.
         protocol_errors,
-    }
-}
-
-impl GatewayStats {
-    /// Relaxed `+1` on one counter (the gateway's hot-path increment).
-    pub fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Relaxed read of one counter.
-    pub fn get(c: &AtomicU64) -> u64 {
-        c.load(Ordering::Relaxed)
     }
 }
 
@@ -335,13 +315,10 @@ impl ObsRegistry {
     }
 
     /// Renders the whole unified registry as one JSON object: the latency
-    /// histograms and the registry's own batteries, plus what lives outside
-    /// the registry — pmem traffic, the [`MetaAllocator`] pool trips and
-    /// its [`AllocFaults`] injector, the [`BlockAlloc`] segment trips and
-    /// fragmentation gauges, the process-wide [`LockStats`] battery and the
-    /// `(files, extents)` census the mount supplies. The `timers` section
-    /// is derived: `fs_ns` and `ops` from the op histograms, `copy_ns` from
-    /// `DataStats`.
+    /// histograms and the registry's batteries, plus pmem traffic, the
+    /// allocator round trips and [`AllocFaults`] injector, the process-wide
+    /// [`LockStats`] and the `(files, extents)` census the mount supplies.
+    /// `timers` is derived from the op histograms and `DataStats::copy_ns`.
     pub fn to_json(
         &self,
         pmem: &StatsSnapshot,

@@ -12,7 +12,7 @@
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::prot::{AccessFault, AccessPolicy};
@@ -201,12 +201,6 @@ macro_rules! media_struct {
     };
 }
 
-/// Relaxed `+n` on one traffic counter of [`PmemStats`].
-#[inline]
-fn count(counter: &AtomicU64, n: usize) {
-    counter.fetch_add(n as u64, std::sync::atomic::Ordering::Relaxed);
-}
-
 /// Builder for [`PmemRegion`].
 pub struct RegionBuilder {
     pages: usize,
@@ -338,7 +332,7 @@ impl RegionBuilder {
             policy: self.policy,
             stats: PmemStats::default(),
             fence_hook: OnceLock::new(),
-            id: REGION_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            id: REGION_IDS.fetch_add(1, Ordering::Relaxed),
         })
     }
 
@@ -643,7 +637,7 @@ impl PmemRegion {
     #[inline]
     pub fn read<T: Pod>(&self, p: PPtr) -> T {
         self.guard(p, size_of::<T>(), false);
-        count(&self.stats.bytes_read, size_of::<T>());
+        self.stats.bytes_read.fetch_add(size_of::<T>() as u64, Ordering::Relaxed);
         // SAFETY: bounds checked; T is Pod so any bit pattern is valid.
         unsafe { std::ptr::read_unaligned(self.base.add(p.off() as usize) as *const T) }
     }
@@ -653,7 +647,7 @@ impl PmemRegion {
     #[inline]
     pub fn write<T: Pod>(&self, p: PPtr, val: T) {
         self.guard(p, size_of::<T>(), true);
-        count(&self.stats.bytes_written, size_of::<T>());
+        self.stats.bytes_written.fetch_add(size_of::<T>() as u64, Ordering::Relaxed);
         // SAFETY: bounds checked.
         unsafe { std::ptr::write_unaligned(self.base.add(p.off() as usize) as *mut T, val) };
         if let Some(t) = &self.tracker {
@@ -665,7 +659,7 @@ impl PmemRegion {
     #[inline]
     pub fn read_into(&self, p: PPtr, buf: &mut [u8]) {
         self.guard(p, buf.len(), false);
-        count(&self.stats.bytes_read, buf.len());
+        self.stats.bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         // SAFETY: bounds checked; regions never overlap a caller's buffer.
         unsafe {
             std::ptr::copy_nonoverlapping(self.base.add(p.off() as usize), buf.as_mut_ptr(), buf.len())
@@ -676,7 +670,7 @@ impl PmemRegion {
     #[inline]
     pub fn write_from(&self, p: PPtr, buf: &[u8]) {
         self.guard(p, buf.len(), true);
-        count(&self.stats.bytes_written, buf.len());
+        self.stats.bytes_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
         // SAFETY: bounds checked.
         unsafe {
             std::ptr::copy_nonoverlapping(buf.as_ptr(), self.base.add(p.off() as usize), buf.len())
@@ -693,7 +687,7 @@ impl PmemRegion {
     #[inline]
     pub fn nt_write_from(&self, p: PPtr, buf: &[u8]) {
         self.guard(p, buf.len(), true);
-        count(&self.stats.bytes_nt_written, buf.len());
+        self.stats.bytes_nt_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
         // SAFETY: bounds checked.
         unsafe {
             std::ptr::copy_nonoverlapping(buf.as_ptr(), self.base.add(p.off() as usize), buf.len())
@@ -707,7 +701,7 @@ impl PmemRegion {
     /// Zeroes a byte range with regular stores.
     pub fn zero(&self, p: PPtr, len: usize) {
         self.guard(p, len, true);
-        count(&self.stats.bytes_written, len);
+        self.stats.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
         // SAFETY: bounds checked.
         unsafe { std::ptr::write_bytes(self.base.add(p.off() as usize), 0, len) };
         if let Some(t) = &self.tracker {
@@ -722,7 +716,8 @@ impl PmemRegion {
     #[inline]
     pub fn flush(&self, p: PPtr, len: usize) {
         self.bounds(p, len.max(1));
-        count(&self.stats.flushed_lines, len.div_ceil(CACHE_LINE).max(1));
+        let lines = len.div_ceil(CACHE_LINE).max(1) as u64;
+        self.stats.flushed_lines.fetch_add(lines, Ordering::Relaxed);
         if let Some(t) = &self.tracker {
             t.stage(self.base, self.len, p.off() as usize, len);
         }
@@ -745,7 +740,7 @@ impl PmemRegion {
     #[inline]
     pub fn fence(&self) {
         if self.defer_to_scope() {
-            count(&self.stats.fences_elided, 1);
+            self.stats.fences_elided.fetch_add(1, Ordering::Relaxed);
             return;
         }
         self.fence_now();

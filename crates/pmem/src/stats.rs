@@ -1,31 +1,18 @@
-//! Counter batteries, and the region's traffic battery.
+//! Traffic statistics for an emulated NVMM region, and the `counters!`
+//! macro every counter battery in the workspace is declared with.
 //!
-//! A *battery* is a struct of relaxed `AtomicU64` counters: statistics,
-//! not synchronization. A harness samples a snapshot before and after a
-//! phase and diffs the two. Every battery in the workspace is declared once
-//! with [`counters!`](crate::counters), which writes the atomic struct, its
-//! snapshot, the diff and the JSON writer. [`PmemStats`] is this crate's
-//! battery: byte, flush and fence counters for every region access. The
+//! Byte, flush and fence counters for every region access; the harness
+//! samples a [`StatsSnapshot`] before and after a phase and diffs it. The
 //! *data copy* share of the paper's Table 1 and Fig. 10 breakdowns does not
-//! come from these counters: it is the time the file system charges to its
-//! own data battery around the copy loop.
+//! come from these counters: it is the file system's `DataStats::copy_ns`.
 
 use std::sync::atomic::Ordering;
 
-/// Declares a counter battery and its snapshot type.
-///
-/// The header names both types (`struct Battery / Snapshot`); each field is
-/// a counter name with its doc comment. The macro emits:
-///
-/// * the battery: one `pub` relaxed `AtomicU64` per field, `Debug`,
-///   `Default`, a `const fn new()` (so a battery can be a `static`) and
-///   `snapshot()`;
-/// * the `Copy` snapshot: the same fields and docs as `u64`, `since()` (a
-///   counter-wise difference, saturating at zero), `fields()` and
-///   `to_json()`, one object keyed by field name in declaration order.
-///
-/// Derived ratios and non-counter gauges stay hand-written next to the
-/// invocation.
+/// Declares a counter battery: a struct of relaxed `pub` `AtomicU64`
+/// counters (with `Default`, a `const fn new()` and `snapshot()`) and its
+/// `Copy` snapshot (the same fields as `u64`, a saturating `since()`,
+/// `fields()` and `to_json()`, keyed by field name in declaration order).
+/// Derived ratios and non-counter gauges stay hand-written beside it.
 ///
 /// ```
 /// simurgh_pmem::counters! {
@@ -65,9 +52,7 @@ macro_rules! counters {
 
             /// Reads every counter (relaxed loads: exact when quiescent).
             pub fn snapshot(&self) -> $snap {
-                $snap {
-                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )+
-                }
+                $snap { $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )+ }
             }
         }
 
@@ -103,22 +88,17 @@ pub fn json_object(fields: impl IntoIterator<Item = (&'static str, u64)>) -> Str
 }
 
 crate::counters! {
-    /// Monotonic counters of region traffic.
+    /// Monotonic counters of region traffic. All counters use relaxed atomics:
+    /// they are statistics, not synchronization.
     pub struct PmemStats / StatsSnapshot {
-        /// Bytes loaded from the region.
         bytes_read,
-        /// Bytes stored through the cache (regular stores).
         bytes_written,
-        /// Bytes stored with non-temporal stores.
         bytes_nt_written,
-        /// Cache lines written back (`clwb`).
         flushed_lines,
-        /// Store fences issued (`sfence`).
         fences,
-        /// Fences requested while a [`FenceScope`](crate::FenceScope) was
-        /// active on the calling thread and therefore deferred to the
-        /// scope's single closing `sfence` — the group-commit win, directly
-        /// observable.
+        /// Fences requested while a [`FenceScope`](crate::FenceScope) was active
+        /// on the calling thread and therefore deferred to the scope's single
+        /// closing `sfence` — the group-commit win, directly observable.
         fences_elided,
     }
 }

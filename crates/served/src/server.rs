@@ -216,7 +216,7 @@ fn acceptor<F: Served>(
                 // Ids are never reused within a u32 wrap; skipping 0
                 // keeps "no id" representable in diagnostics.
                 next_id = next_id.wrapping_add(1).max(1);
-                GatewayStats::bump(&stats.connections);
+                stats.connections.fetch_add(1, Ordering::Relaxed);
                 let shard = id as usize % queues.len();
                 queues[shard].push((id, stream));
                 wake(&wakes[shard]);
@@ -287,7 +287,7 @@ fn shard_loop<F: Served>(
             .collect();
         for id in expired {
             let conn = conns.remove(&id).expect("conn present");
-            GatewayStats::bump(&stats.idle_timeouts);
+            stats.idle_timeouts.fetch_add(1, Ordering::Relaxed);
             close_conn(fs, stats, epfd, conn);
         }
     }
@@ -306,10 +306,10 @@ fn close_conn<F: Served>(fs: &F, stats: &GatewayStats, epfd: RawFd, mut conn: Co
     let _ = sys::del(epfd, conn.stream.as_raw_fd());
     for fd in conn.fds.drain() {
         if fs.close(&conn.ctx, fd).is_ok() {
-            GatewayStats::bump(&stats.fds_reaped);
+            stats.fds_reaped.fetch_add(1, Ordering::Relaxed);
         }
     }
-    GatewayStats::bump(&stats.disconnects);
+    stats.disconnects.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Drains the socket, decodes every complete frame, runs the burst, and
@@ -347,7 +347,7 @@ fn handle_readable<F: Served>(
         conn.last_rx = Instant::now();
     }
     if !process_input(fs, stats, cfg, conn) {
-        GatewayStats::bump(&stats.protocol_errors);
+        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
         return false;
     }
     if eof {
@@ -416,9 +416,9 @@ fn run_burst<F: Served>(
     let mut slots: Vec<Result<Request, Response>> = Vec::with_capacity(requests.len());
     let mut admitted = 0u64;
     for req in requests {
-        let load = GatewayStats::get(&stats.in_flight) + admitted;
+        let load = stats.in_flight.load(Ordering::Relaxed) + admitted;
         if load >= limit {
-            GatewayStats::bump(&stats.admission_rejections);
+            stats.admission_rejections.fetch_add(1, Ordering::Relaxed);
             slots.push(Err(Response::Busy {
                 in_flight: load.min(u32::MAX as u64) as u32,
                 limit: cfg.max_in_flight,
@@ -441,7 +441,7 @@ fn run_burst<F: Served>(
                 })
                 .collect()
         });
-        GatewayStats::bump(&stats.flushes);
+        stats.flushes.fetch_add(1, Ordering::Relaxed);
         out
     } else {
         slots.into_iter().map(|slot| slot.expect_err("all rejected")).collect()
