@@ -329,6 +329,8 @@ impl ObsRegistry {
         let data = self.data.snapshot();
         let timers = [("fs_ns", self.fs_ns()), ("copy_ns", data.copy_ns), ("ops", self.op_count())];
         let alloc = [("pool_trips", meta.pool_trips()), ("seg_trips", blocks.seg_trips())];
+        // Typed by name: obs-coverage finds a battery registered when this
+        // file names it.
         let (faults, lock): (&AllocFaults, &LockStats) = (meta.faults(), lock_stats());
         format!(
             "{{\"latency\":{},\"dir\":{},\"data\":{},\"pmem\":{},\"timers\":{},\
