@@ -25,64 +25,45 @@ fn monotonic_us() -> u64 {
 // Backoff policy
 // ---------------------------------------------------------------------------
 
-/// Tunables for the adaptive busy-wait schedule shared by every spin path
-/// (segment locks, file rw-locks, directory line flags). Replaces the old
-/// fixed ladder — one `pause` per probe, one `yield` every 64th — with
-/// bounded exponential backoff: round *r* issues `min(2^r, spin_cap)` pause
-/// instructions, and once `yield_after` total pauses have been burnt every
+/// Cap on pause instructions per backoff round (the plateau of the
+/// exponential).
+const SPIN_CAP: u32 = 64;
+/// Total pause instructions after which backoff rounds start yielding.
+/// 1+2+…+64 ≈ 127 pauses reach the plateau; eight plateau rounds (~640
+/// pauses total) before conceding the core — roughly the point where the
+/// old ladder had yielded ten times.
+const YIELD_AFTER: u64 = 640;
+
+/// Per-wait state of the adaptive busy-wait schedule shared by every spin
+/// path (segment locks, file rw-locks, directory line flags). Replaces the
+/// old fixed ladder — one `pause` per probe, one `yield` every 64th — with
+/// bounded exponential backoff: round *r* issues `min(2^r, SPIN_CAP)` pause
+/// instructions, and once `YIELD_AFTER` total pauses have been burnt every
 /// further round also yields the CPU (oversubscribed-host courtesy).
 ///
 /// The schedule is deterministic (no randomized jitter): waiters desynchronize
 /// naturally because their round counters differ, and determinism keeps the
-/// crash matrix and the spin-accounting assertions reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Cap on pause instructions per round (the plateau of the exponential).
-    pub spin_cap: u32,
-    /// Total pause instructions after which rounds start yielding.
-    pub yield_after: u64,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        // 1+2+…+64 ≈ 127 pauses reach the plateau; eight plateau rounds
-        // (~640 pauses total) before conceding the core — roughly the point
-        // where the old ladder had yielded ten times.
-        BackoffPolicy { spin_cap: 64, yield_after: 640 }
-    }
-}
-
-/// Per-wait state driving one [`BackoffPolicy`] schedule. Create one per
-/// blocking acquisition; call [`wait`](Backoff::wait) once per failed probe.
-#[derive(Debug)]
+/// crash matrix and the spin-accounting assertions reproducible. Create one
+/// per blocking acquisition; call [`wait`](Backoff::wait) once per failed
+/// probe.
+#[derive(Debug, Default)]
 pub struct Backoff {
-    policy: BackoffPolicy,
     round: u32,
     spun: u64,
 }
 
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::new(BackoffPolicy::default())
-    }
-}
-
 impl Backoff {
-    pub fn new(policy: BackoffPolicy) -> Self {
-        Backoff { policy, round: 0, spun: 0 }
-    }
-
     /// One backoff round: exponentially more pause instructions up to the
     /// cap, then cooperative yields. Also feeds the process-wide
     /// [`LockStats`] spin-round counter.
     pub fn wait(&mut self) {
-        let n = 1u32.checked_shl(self.round.min(31)).unwrap_or(u32::MAX).min(self.policy.spin_cap);
+        let n = 1u32.checked_shl(self.round.min(31)).unwrap_or(u32::MAX).min(SPIN_CAP);
         for _ in 0..n {
             std::hint::spin_loop();
         }
         self.round += 1;
         self.spun += n as u64;
-        if self.spun >= self.policy.yield_after {
+        if self.spun >= YIELD_AFTER {
             std::thread::yield_now();
         }
         lock_stats().spin_rounds.fetch_add(1, Ordering::Relaxed);
@@ -360,13 +341,14 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_exponential_and_capped() {
-        let mut b = Backoff::new(BackoffPolicy { spin_cap: 16, yield_after: u64::MAX });
+        let mut b = Backoff::default();
         let before = lock_stats().spin_rounds.load(Ordering::Relaxed);
-        for _ in 0..8 {
-            b.wait(); // 1,2,4,8,16,16,16,16 — capped at the plateau
+        for _ in 0..10 {
+            b.wait(); // 1,2,4,…,64,64,64,64 — capped at the plateau
         }
-        assert_eq!(b.rounds(), 8);
-        assert_eq!(b.spun, 1 + 2 + 4 + 8 + 16 * 4);
+        assert_eq!(b.rounds(), 10);
+        assert_eq!(b.spun, 1 + 2 + 4 + 8 + 16 + 32 + u64::from(SPIN_CAP) * 4);
+        assert!(b.spun < YIELD_AFTER, "ten rounds stay below the yield threshold");
         assert!(
             lock_stats().spin_rounds.load(Ordering::Relaxed) >= before + 8,
             "rounds feed the process-wide battery"

@@ -203,13 +203,6 @@ impl DirIndex {
         self.with_dir(dir, |st| st.complete = [u64::MAX; LINE_WORDS]);
     }
 
-    /// Drops every line's completeness (whole-directory degradation; the
-    /// per-line [`Self::mark_line_incomplete`] is preferred where the
-    /// damage is known). Entries stay as verified-on-read hints.
-    pub fn mark_incomplete(&self, dir: PPtr) {
-        self.with_dir(dir, |st| st.complete = [0; LINE_WORDS]);
-    }
-
     /// Marks one line fully indexed; misses on it become authoritative.
     pub fn mark_line_complete(&self, dir: PPtr, line: usize) {
         self.with_dir(dir, |st| st.complete[line / 64] |= 1 << (line % 64));
@@ -283,11 +276,6 @@ impl DirIndex {
         });
     }
 
-    /// Number of free-slot hints recorded for `(dir, line)` (diagnostics).
-    pub fn free_hint_count(&self, dir: PPtr, line: usize) -> usize {
-        self.read_dir(dir, |st| st.free.get(&(line as u32)).map_or(0, Vec::len)).unwrap_or(0)
-    }
-
     /// Drops the free-slot hints of one line (before a line reindex).
     pub fn clear_free_hints(&self, dir: PPtr, line: usize) {
         self.with_dir(dir, |st| {
@@ -300,21 +288,6 @@ impl DirIndex {
         self.with_dir(dir, |st| st.free.clear());
     }
 
-    /// Forgets references to one reclaimed chain block: drops free hints
-    /// pointing at it and, if it was the cached tail, falls back to
-    /// `new_tail` (its predecessor, or the first block). Entries never
-    /// reference an empty block, so they are untouched.
-    pub fn forget_block(&self, dir: PPtr, block: PPtr, new_tail: PPtr) {
-        self.with_dir(dir, |st| {
-            for v in st.free.values_mut() {
-                v.retain(|b| *b != block.off());
-            }
-            if st.tail == block.off() {
-                st.tail = new_tail.off();
-            }
-        });
-    }
-
     /// The chain tail of `dir`, if known.
     pub fn tail(&self, dir: PPtr) -> Option<PPtr> {
         self.read_dir(dir, |st| (st.tail != 0).then(|| PPtr::new(st.tail))).flatten()
@@ -325,21 +298,12 @@ impl DirIndex {
         self.with_dir(dir, |st| st.tail = tail.off());
     }
 
-    /// Number of indexed entries (diagnostics).
-    pub fn len(&self) -> usize {
-        self.entries.iter().map(|s| s.read().len()).sum()
-    }
-
     /// Number of indexed entries of one directory (diagnostics; O(len)).
     pub fn dir_len(&self, dir: PPtr) -> usize {
         self.entries
             .iter()
             .map(|s| s.read().keys().filter(|(d, _)| *d == dir.off()).count())
             .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -358,7 +322,7 @@ mod tests {
         assert_eq!(ix.lookup(dir, 3, 7), IndexHit::Found(PPtr::new(8192), PPtr::new(12288)));
         ix.remove(dir, 7);
         assert_eq!(ix.lookup(dir, 3, 7), IndexHit::AbsentForSure);
-        ix.mark_incomplete(dir);
+        ix.mark_line_incomplete(dir, 3);
         assert_eq!(ix.lookup(dir, 3, 7), IndexHit::Unknown);
     }
 
@@ -405,7 +369,7 @@ mod tests {
         ix.put_free_hint(dir, 9, PPtr::new(555));
         ix.put_free_hint(dir, 9, PPtr::new(666));
         ix.put_free_hint(dir, 9, PPtr::new(555)); // duplicate: ignored
-        assert_eq!(ix.free_hint_count(dir, 9), 2, "every freed slot is remembered");
+        // Every freed slot is remembered, each once.
         assert_eq!(ix.take_free_hint(dir, 9), Some(PPtr::new(666)));
         assert_eq!(ix.take_free_hint(dir, 9), Some(PPtr::new(555)));
         assert_eq!(ix.take_free_hint(dir, 9), None);
@@ -425,20 +389,6 @@ mod tests {
             (Some(PPtr::new(555)), Some(PPtr::new(111)))
         );
         assert_eq!(ix.take_free_hint_or_tail(dir, 9), (None, Some(PPtr::new(111))));
-    }
-
-    #[test]
-    fn forget_block_drops_hints_and_repoints_tail() {
-        let ix = DirIndex::new();
-        let dir = PPtr::new(4096);
-        ix.put_free_hint(dir, 1, PPtr::new(555));
-        ix.put_free_hint(dir, 2, PPtr::new(555));
-        ix.put_free_hint(dir, 2, PPtr::new(777));
-        ix.set_tail(dir, PPtr::new(555));
-        ix.forget_block(dir, PPtr::new(555), PPtr::new(4096));
-        assert_eq!(ix.take_free_hint(dir, 1), None);
-        assert_eq!(ix.take_free_hint(dir, 2), Some(PPtr::new(777)), "other blocks kept");
-        assert_eq!(ix.tail(dir), Some(PPtr::new(4096)), "tail fell back");
     }
 
     #[test]

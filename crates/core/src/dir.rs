@@ -21,7 +21,7 @@ use simurgh_pmem::{PPtr, PmemRegion};
 use crate::alloc::{lock_stats, Backoff, MetaAllocator};
 use crate::dindex::{DirIndex, IndexHit};
 use crate::hash::{dir_line, fnv1a};
-use crate::obj::dirblock::{logop, DirBlock, RenameLog, DF_RENAME, NLINES};
+use crate::obj::dirblock::{logop, DirBlock, RenameLog, NLINES};
 use crate::obj::fentry::FileEntry;
 use crate::obj::{self, Tag};
 use crate::super_block::PoolKind;
@@ -400,59 +400,11 @@ pub fn remove(
         ix.remove(first.ptr(), nhash);
         ix.put_free_hint(first.ptr(), line, blk.ptr());
     }
-    // Only now may other processes re-allocate the entry object.
+    // Only now may other processes re-allocate the entry object. Step 6
+    // (optional in the paper: free the block if it became empty) is left
+    // to the next exclusive mount, so a mounted chain only ever grows.
     env.meta.recycle(PoolKind::FileEntry, fe.ptr());
-    // Step 6 (optional): free the block if it became empty.
-    maybe_reclaim_block(env, first, blk, line);
     Ok(())
-}
-
-/// Frees a non-first chain block whose slots are all empty. Safe only if we
-/// can take every line of the directory non-blockingly (other lines may be
-/// mutated by concurrent holders); gives up on any contention — the paper
-/// marks this step optional, and the mount sweep reclaims stragglers.
-fn maybe_reclaim_block(env: &DirEnv<'_>, first: DirBlock, blk: DirBlock, held_line: usize) {
-    if blk == first {
-        return;
-    }
-    for l in 0..NLINES {
-        if !blk.line(env.region, l).is_null() {
-            return;
-        }
-    }
-    // Try to freeze the whole directory.
-    let mut held = Vec::with_capacity(NLINES - 1);
-    for l in 0..NLINES {
-        if l == held_line {
-            continue;
-        }
-        if first.try_busy(env.region, l) {
-            held.push(l);
-        } else {
-            for h in held {
-                first.release_busy(env.region, h);
-            }
-            return;
-        }
-    }
-    // Re-check emptiness now that the directory is frozen, then unlink.
-    let empty = (0..NLINES).all(|l| blk.line(env.region, l).is_null());
-    if empty {
-        if let Some(prev) = chain(env.region, first).find(|b| b.next(env.region) == blk.ptr()) {
-            let next = blk.next(env.region);
-            prev.set_next(env.region, next);
-            env.meta.free(PoolKind::DirBlock, blk.ptr());
-            if let Some(ix) = env.index {
-                // If the freed block was the tail, its predecessor now is —
-                // keep the cached tail exact so inserts stay one probe.
-                let new_tail = if next.is_null() { prev.ptr() } else { first.ptr() };
-                ix.forget_block(first.ptr(), blk.ptr(), new_tail);
-            }
-        }
-    }
-    for h in held {
-        first.release_busy(env.region, h);
-    }
 }
 
 /// Renames within one directory: Fig. 5c. A replaced target entry is handed
@@ -480,17 +432,18 @@ pub fn rename_same_dir(
     // Replace semantics: a live target is deleted under the same lock.
     let replaced = find_entry(env, first, new_line, new_hash, new_name);
     // Group commit over the preparation (shadow entry + slot reservation):
-    // nothing is reachable until DF_RENAME is set, so one fence suffices.
+    // nothing is reachable until step 5 redirects the old line, so one
+    // fence suffices.
     let scope = env.region.fence_scope();
     // Steps 1–2: shadow entry pointing at the same inode.
     let nfe_ptr = env.meta.alloc(PoolKind::FileEntry)?;
     let nfe = FileEntry(nfe_ptr);
     nfe.init(env.region, new_name, ftype, inode);
     env.region.persist(nfe_ptr, crate::obj::fentry::FENTRY_SIZE as usize);
-    // Reserve the destination slot BEFORE step 3: find_or_extend_slot can
-    // fail (DirBlock pool exhausted), and once DF_RENAME is set and the old
-    // line redirected there is no clean exit. An unused reservation is
-    // harmless — the slot simply stays NULL.
+    // Reserve the destination slot BEFORE step 5: find_or_extend_slot can
+    // fail (DirBlock pool exhausted), and once the old line is redirected
+    // there is no clean exit. An unused reservation is harmless — the slot
+    // simply stays NULL.
     let dest = if replaced.is_some() {
         None
     } else {
@@ -502,10 +455,10 @@ pub fn rename_same_dir(
             }
         }
     };
-    // Step 3: mark the directory as rename-in-progress, with the prepared
-    // entry made durable first by the scope commit.
+    // The scope commit makes the prepared entry durable. Fig. 5c's step 3
+    // (set the directory's rename flag) is omitted: recovery recognizes an
+    // interrupted rename from the line/name mismatch of step 5 alone.
     scope.commit();
-    first.set_flag(env.region, DF_RENAME);
     // Step 5: point the old line at the new entry — the hash mismatch is the
     // recoverable inconsistency the paper exploits.
     old_blk.set_line(env.region, old_line, nfe_ptr);
@@ -523,7 +476,7 @@ pub fn rename_same_dir(
             ix.insert(first.ptr(), new_hash, nfe_ptr, rblk.ptr());
         }
     } else {
-        let (nblk, fresh) = dest.expect("slot reserved before DF_RENAME was set");
+        let (nblk, fresh) = dest.expect("slot reserved before the old line was redirected");
         nblk.set_line(env.region, new_line, nfe_ptr);
         if fresh {
             obj::clear_dirty(env.region, nblk.ptr());
@@ -536,7 +489,6 @@ pub fn rename_same_dir(
     old_blk.set_line(env.region, old_line, PPtr::NULL);
     env.meta.recycle(PoolKind::FileEntry, old_fe.ptr());
     obj::clear_dirty(env.region, nfe_ptr);
-    first.clear_flag(env.region, DF_RENAME);
     if let Some(ix) = env.index {
         ix.remove(first.ptr(), old_hash);
         ix.put_free_hint(first.ptr(), old_line, old_blk.ptr());
@@ -578,8 +530,8 @@ pub fn rename_cross_dir(
     env.region.persist(nfe_ptr, crate::obj::fentry::FENTRY_SIZE as usize);
     // Reserve the destination slot BEFORE arming the log: find_or_extend_slot
     // can fail (DirBlock pool exhausted), and bailing out with the journal
-    // armed and DF_RENAME set would leave the source directory in a repair
-    // state for an operation that never happened.
+    // armed would leave the source directory in a repair state for an
+    // operation that never happened.
     let dest = if replaced.is_some() {
         None
     } else {
@@ -591,8 +543,9 @@ pub fn rename_cross_dir(
             }
         }
     };
-    // Steps 1–2: arm the log in the source directory and set its dirty flag,
-    // with the preparation made durable first by the scope commit.
+    // Step 1: arm the log in the source directory, with the preparation
+    // made durable first by the scope commit. The armed log is what
+    // recovery keys on; step 2's directory dirty flag is omitted.
     scope.commit();
     src.write_log(
         env.region,
@@ -607,7 +560,6 @@ pub fn rename_cross_dir(
             new_line: new_line as u64,
         },
     );
-    src.set_flag(env.region, DF_RENAME);
     // Step 4: perform the operation — publish at destination, then retire
     // the source entry.
     if let Some((rblk, rfe)) = replaced {
@@ -640,7 +592,6 @@ pub fn rename_cross_dir(
     }
     // Disarm the log.
     src.clear_log(env.region);
-    src.clear_flag(env.region, DF_RENAME);
     Ok(())
 }
 
@@ -688,10 +639,9 @@ pub fn is_empty(env: &DirEnv<'_>, first: DirBlock) -> bool {
 /// * slot → entry with `valid=1, dirty=1` whose name hashes to this line
 ///   (create died before step 6): the entry is fully published — clear the
 ///   dirty bits (roll forward);
-/// * slot → entry whose name hashes to a *different* line while the
-///   directory's rename flag is set (intra-dir rename died between steps 5
-///   and 8): make sure the entry is published at its home line, then null
-///   the mismatched slot;
+/// * slot → entry whose name hashes to a *different* line (intra-dir
+///   rename died between steps 5 and 8): make sure the entry is published
+///   at its home line, then null the mismatched slot;
 /// * armed cross-directory log: [`recover_cross_rename`].
 pub fn repair_line(env: &DirEnv<'_>, first: DirBlock, line: usize) {
     if let Some(ix) = env.index {
@@ -748,7 +698,6 @@ pub fn repair_line(env: &DirEnv<'_>, first: DirBlock, line: usize) {
             }
             blk.set_line(env.region, line, PPtr::NULL);
             obj::clear_dirty(env.region, slot);
-            first.clear_flag(env.region, DF_RENAME);
             continue;
         }
         if obj::is_dirty(h) {
@@ -830,7 +779,6 @@ pub fn recover_cross_rename(env: &DirEnv<'_>, src: DirBlock, log: &RenameLog) {
         }
     }
     src.clear_log(env.region);
-    src.clear_flag(env.region, DF_RENAME);
     // Both touched lines are consistent again — restore their authority.
     if env.index.is_some() {
         if old_line < NLINES {
@@ -1045,7 +993,6 @@ mod tests {
         assert!(lookup(&env, dir, "old").is_none());
         let fe = lookup(&env, dir, "new").expect("renamed");
         assert_eq!(fe.inode(&fx.region), PPtr::new(4096));
-        assert_eq!(dir.flags(&fx.region) & DF_RENAME, 0, "flag cleared");
         assert_eq!(rename_same_dir(&env, dir, "old", "x", |_| {}).unwrap_err(), FsError::NotFound);
     }
 

@@ -40,7 +40,7 @@ const WRITER: u64 = 1 << 63;
 
 /// Default lock-hold limit before a waiter presumes the holder crashed and
 /// resets the lock (the lock word is volatile state; see module docs).
-pub const DEFAULT_FILE_MAX_HOLD: Duration = Duration::from_millis(500);
+const DEFAULT_FILE_MAX_HOLD: Duration = Duration::from_millis(500);
 
 // ---------------------------------------------------------------------------
 // Probe accounting
@@ -414,25 +414,6 @@ pub fn for_each_extent(r: &PmemRegion, ino: Inode, mut f: impl FnMut(u64, Extent
         blk = extblock::next(r, blk);
     }
     logical
-}
-
-/// Total allocated bytes of a file (multiple of the block size).
-pub fn allocated_bytes(r: &PmemRegion, ino: Inode) -> u64 {
-    for_each_extent(r, ino, |_, _| {})
-}
-
-/// Maps a logical offset to `(pmem address, contiguous bytes available)`.
-/// One full walk of the persistent map: recovery/tooling only, never the
-/// per-chunk locate of a hot loop.
-pub fn map_offset(r: &PmemRegion, ino: Inode, off: u64) -> Option<(PPtr, u64)> {
-    let mut found = None;
-    for_each_extent(r, ino, |logical, e| {
-        if found.is_none() && off >= logical && off < logical + e.len {
-            let within = off - logical;
-            found = Some((PPtr::new(e.start + within), e.len - within));
-        }
-    });
-    found
 }
 
 /// Streams `(pmem address, contiguous bytes)` runs covering the file from
@@ -1381,7 +1362,7 @@ mod tests {
         let crashed = region.simulate_crash();
         let ino2 = Inode(PPtr::new(4096));
         assert_eq!(ino2.size(&crashed), 4096, "trimmed size durable");
-        assert_eq!(allocated_bytes(&crashed, ino2), 4096, "trimmed map durable");
+        assert_eq!(for_each_extent(&crashed, ino2, |_, _| {}), 4096, "trimmed map durable");
         let blocks2 = Arc::new(BlockAlloc::new(data_ext, 1));
         let env2 = FileEnv::new(&crashed, &blocks2);
         let mut buf = [0u8; 4096];

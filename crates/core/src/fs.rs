@@ -52,8 +52,6 @@ pub struct SimurghConfig {
     pub segments: Option<usize>,
     /// Busy-flag hold limit before decentralized line recovery kicks in.
     pub line_max_hold: Duration,
-    /// Per-file lock hold limit before a crashed holder is presumed.
-    pub file_max_hold: Duration,
 }
 
 impl Default for SimurghConfig {
@@ -64,7 +62,6 @@ impl Default for SimurghConfig {
             relaxed_writes: false,
             segments: None,
             line_max_hold: dir::DEFAULT_LINE_MAX_HOLD,
-            file_max_hold: file::DEFAULT_FILE_MAX_HOLD,
         }
     }
 }
@@ -311,20 +308,31 @@ impl SimurghFs {
     /// Walks the tree and rebuilds the shared-DRAM directory index.
     fn rebuild_index(&self) {
         let env = self.dir_env();
+        self.walk_dirs(|first, _| dir::reindex_dir(&env, first));
+    }
+
+    /// Depth-first walk of every directory reachable from the root: `visit`
+    /// gets each directory's first hash block and its live entries as
+    /// `(type, inode)`, null inodes skipped.
+    fn walk_dirs(&self, mut visit: impl FnMut(DirBlock, &[(FileType, Inode)])) {
+        let env = self.dir_env();
         let mut stack = vec![self.root];
+        let mut entries = Vec::new();
         while let Some(ino) = stack.pop() {
-            if ino.mode(&self.region).ftype != FileType::Directory {
-                continue;
-            }
             let Ok(first) = self.dir_block_of(ino) else {
                 continue;
             };
-            dir::reindex_dir(&env, first);
+            entries.clear();
             for (_, ftype, child) in dir::scan(&env, first) {
-                if ftype == FileType::Directory && !child.is_null() {
+                if child.is_null() {
+                    continue;
+                }
+                if ftype == FileType::Directory {
                     stack.push(Inode(child));
                 }
+                entries.push((ftype, Inode(child)));
             }
+            visit(first, &entries);
         }
     }
 
@@ -477,27 +485,15 @@ impl SimurghFs {
     /// root and their total extent-map entries. A full tree walk — the obs
     /// export and the aging harness are cold paths.
     pub fn extent_census(&self) -> (u64, u64) {
-        let denv = self.dir_env();
         let (mut files, mut extents) = (0u64, 0u64);
-        let mut stack = vec![self.root];
-        while let Some(ino) = stack.pop() {
-            let Ok(first) = self.dir_block_of(ino) else {
-                continue;
-            };
-            for (_, ftype, child) in dir::scan(&denv, first) {
-                if child.is_null() {
-                    continue;
-                }
-                match ftype {
-                    FileType::Directory => stack.push(Inode(child)),
-                    FileType::Regular => {
-                        files += 1;
-                        file::for_each_extent(&self.region, Inode(child), |_, _| extents += 1);
-                    }
-                    FileType::Symlink => {}
+        self.walk_dirs(|_, entries| {
+            for &(ftype, child) in entries {
+                if ftype == FileType::Regular {
+                    files += 1;
+                    file::for_each_extent(&self.region, child, |_, _| extents += 1);
                 }
             }
-        }
+        });
         (files, extents)
     }
 
@@ -557,31 +553,19 @@ impl SimurghFs {
     /// files (2+ extents or any overflow chain), sorted ascending by
     /// extent count so the back of the queue is the worst offender.
     fn harvest_candidates(&self) {
-        let denv = self.dir_env();
         let mut found: Vec<(u64, PPtr)> = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(ino) = stack.pop() {
-            let Ok(first) = self.dir_block_of(ino) else {
-                continue;
-            };
-            for (_, ftype, child) in dir::scan(&denv, first) {
-                if child.is_null() {
+        self.walk_dirs(|_, entries| {
+            for &(ftype, c) in entries {
+                if ftype != FileType::Regular {
                     continue;
                 }
-                match ftype {
-                    FileType::Directory => stack.push(Inode(child)),
-                    FileType::Regular => {
-                        let c = Inode(child);
-                        let mut n = 0u64;
-                        file::for_each_extent(&self.region, c, |_, _| n += 1);
-                        if n >= 2 || !c.ext_next(&self.region).is_null() {
-                            found.push((n, child));
-                        }
-                    }
-                    FileType::Symlink => {}
+                let mut n = 0u64;
+                file::for_each_extent(&self.region, c, |_, _| n += 1);
+                if n >= 2 || !c.ext_next(&self.region).is_null() {
+                    found.push((n, c.ptr()));
                 }
             }
-        }
+        });
         found.sort_by_key(|&(n, _)| n);
         *self.compactq.queue.lock().unwrap() = found.into_iter().map(|(_, p)| p).collect();
     }
@@ -632,7 +616,6 @@ impl SimurghFs {
             .with_stats(&self.obs.data)
             .with_faults(self.meta.faults());
         env.relaxed = self.cfg.relaxed_writes;
-        env.max_hold = self.cfg.file_max_hold;
         env
     }
 

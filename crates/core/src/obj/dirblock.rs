@@ -23,11 +23,10 @@ const O_LOG: u64 = 24;
 const O_BUSY: u64 = 128;
 const O_LINES: u64 = 384;
 
-/// Block flag: this is the first block of its directory.
+/// Block flag: this is the first block of its directory. The paper's
+/// "dirty directory bit" of Fig. 5c is not kept: recovery detects an
+/// interrupted rename from the line/name mismatch and the rename log.
 pub const DF_FIRST: u64 = 1 << 0;
-/// Block flag: a rename touching this directory is in flight (the paper's
-/// "dirty directory bit", Fig. 5c).
-pub const DF_RENAME: u64 = 1 << 1;
 
 /// Typed view over one directory hash block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,18 +76,20 @@ impl DirBlock {
         PPtr::new(r.atomic_u64(self.0.add(O_NEXT)).load(Ordering::Acquire))
     }
 
-    /// Publishes the next block in the chain (Fig. 5a step 4: the new hash
-    /// block is linked to the previous one).
+    /// Overwrites the next-block link. Only the exclusive mount uses this,
+    /// to splice an emptied block out of the chain; a mounted chain only
+    /// grows, through [`try_set_next`](Self::try_set_next).
     pub fn set_next(self, r: &PmemRegion, p: PPtr) {
         r.atomic_u64(self.0.add(O_NEXT)).store(p.off(), Ordering::Release);
         r.note_atomic(self.0.add(O_NEXT), 8);
         r.persist_now(self.0.add(O_NEXT), 8);
     }
 
-    /// Links `p` after this block only if no other writer extended the chain
-    /// first. Writers on *different* lines hold different busy flags, so two
-    /// of them can reach the same chain tail concurrently; a plain store
-    /// would let the second overwrite the first's link and lose its block.
+    /// Links `p` after this block (Fig. 5a step 4) only if no other writer
+    /// extended the chain first. Writers on *different* lines hold
+    /// different busy flags, so two of them can reach the same chain tail
+    /// concurrently; a plain store would let the second overwrite the
+    /// first's link and lose its block.
     pub fn try_set_next(self, r: &PmemRegion, p: PPtr) -> bool {
         let won = r
             .atomic_u64(self.0.add(O_NEXT))
@@ -101,24 +102,8 @@ impl DirBlock {
         won
     }
 
-    pub fn flags(self, r: &PmemRegion) -> u64 {
-        r.atomic_u64(self.0.add(O_FLAGS)).load(Ordering::Acquire)
-    }
-
-    pub fn set_flag(self, r: &PmemRegion, flag: u64) {
-        r.atomic_u64(self.0.add(O_FLAGS)).fetch_or(flag, Ordering::AcqRel);
-        r.note_atomic(self.0.add(O_FLAGS), 8);
-        r.persist_now(self.0.add(O_FLAGS), 8);
-    }
-
-    pub fn clear_flag(self, r: &PmemRegion, flag: u64) {
-        r.atomic_u64(self.0.add(O_FLAGS)).fetch_and(!flag, Ordering::AcqRel);
-        r.note_atomic(self.0.add(O_FLAGS), 8);
-        r.persist_now(self.0.add(O_FLAGS), 8);
-    }
-
     pub fn is_first(self, r: &PmemRegion) -> bool {
-        self.flags(r) & DF_FIRST != 0
+        r.atomic_u64(self.0.add(O_FLAGS)).load(Ordering::Acquire) & DF_FIRST != 0
     }
 
     // ----- lines ------------------------------------------------------------
@@ -252,7 +237,7 @@ mod tests {
         a.init(&r, true);
         b.init(&r, false);
         assert!(a.next(&r).is_null());
-        a.set_next(&r, b.ptr());
+        assert!(a.try_set_next(&r, b.ptr()));
         assert_eq!(a.next(&r), b.ptr());
     }
 
@@ -306,17 +291,5 @@ mod tests {
         assert_eq!(b.read_log(&r), log);
         b.clear_log(&r);
         assert_eq!(b.read_log(&r).op, logop::IDLE);
-    }
-
-    #[test]
-    fn dir_rename_flag() {
-        let r = region();
-        let b = DirBlock(PPtr::new(4096));
-        b.init(&r, true);
-        b.set_flag(&r, DF_RENAME);
-        assert!(b.flags(&r) & DF_RENAME != 0);
-        assert!(b.is_first(&r), "other flags preserved");
-        b.clear_flag(&r, DF_RENAME);
-        assert_eq!(b.flags(&r) & DF_RENAME, 0);
     }
 }

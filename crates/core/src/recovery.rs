@@ -12,9 +12,11 @@
 //! 2. **Repair** — if the shutdown was unclean, run the decentralized
 //!    repair of [`crate::dir::repair_dir`] over every reachable directory,
 //!    completing or rolling back interrupted creates/deletes/renames and
-//!    clearing stale busy flags.
-//! 3. **Re-mark & sweep** — walk again (repairs may have changed
-//!    reachability), rebuild the block allocator's volatile free lists from
+//!    clearing stale busy flags, then walk again (repairs may have changed
+//!    reachability). On every mount, clean or not, splice each emptied
+//!    non-first block out of its directory chain: a mounted chain only
+//!    grows, so this is where Fig. 5b's optional step 6 runs.
+//! 3. **Sweep** — rebuild the block allocator's volatile free lists from
 //!    the used-block set, and sweep every pool slot: free slots feed the
 //!    metadata allocator, reachable objects get their volatile lock words
 //!    cleared, and allocated-but-unreachable objects (the paper's "assigned
@@ -32,7 +34,7 @@ use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::alloc::{BlockAlloc, MetaAllocator};
 use crate::dir::{self, DirEnv};
-use crate::obj::dirblock::DirBlock;
+use crate::obj::dirblock::{DirBlock, DIRBLOCK_SIZE, NLINES};
 use crate::obj::inode::{extblock, Inode};
 use crate::obj::{self, Tag};
 use crate::super_block::{PoolKind, Superblock};
@@ -146,12 +148,12 @@ impl<'a> Walker<'a> {
                     let mut blk = PPtr::new(e.start);
                     let mut seen_blocks: HashSet<u64> = HashSet::new();
                     while !blk.is_null()
-                        && self.region.in_bounds(blk, crate::obj::dirblock::DIRBLOCK_SIZE as usize)
+                        && self.region.in_bounds(blk, DIRBLOCK_SIZE as usize)
                         && seen_blocks.insert(blk.off())
                     {
                         m.meta.insert(blk.off());
                         let db = DirBlock(blk);
-                        for line in 0..crate::obj::dirblock::NLINES {
+                        for line in 0..NLINES {
                             let slot = db.line(self.region, line);
                             if slot.is_null() || !self.valid_obj(slot, Tag::FileEntry) {
                                 continue;
@@ -208,6 +210,33 @@ impl<'a> Walker<'a> {
     }
 }
 
+/// Splices every non-first block whose lines are all null out of its
+/// directory chain and drops it from the marked set, so the sweep frees it
+/// and counts it in `reclaimed_objects`. Recovery owns the region, so the
+/// splice needs no line lock; a cut after it leaves an unreachable block,
+/// which the next sweep reclaims the same way.
+fn drop_empty_blocks(region: &PmemRegion, m: &mut Marked) {
+    for &first in &m.dir_firsts {
+        let mut kept = DirBlock(PPtr::new(first));
+        let mut seen: HashSet<u64> = HashSet::from([first]);
+        let mut blk = kept.next(region);
+        while !blk.is_null()
+            && region.in_bounds(blk, DIRBLOCK_SIZE as usize)
+            && seen.insert(blk.off())
+        {
+            let db = DirBlock(blk);
+            let next = db.next(region);
+            if (0..NLINES).all(|l| db.line(region, l).is_null()) {
+                kept.set_next(region, next);
+                m.meta.remove(&blk.off());
+            } else {
+                kept = db;
+            }
+            blk = next;
+        }
+    }
+}
+
 /// Runs recovery on a mounted region, returning rebuilt allocators and the
 /// report. Used by [`crate::SimurghFs::mount`]; also callable directly by
 /// the benchmark harness (§5.5 measures exactly this).
@@ -242,9 +271,9 @@ pub fn recover(
         return Err(FsError::Corrupt("root inode unreachable"));
     }
 
-    // Phase 2: repair (unclean shutdown only).
+    // Phase 2: repair (unclean shutdown only), then drop emptied blocks.
     let t = Instant::now();
-    let m_final = if was_clean {
+    let mut m_final = if was_clean {
         m1
     } else {
         let tmp_blocks =
@@ -257,6 +286,7 @@ pub fn recover(
         // Repairs change reachability; walk again for the final truth.
         walker.mark(root)
     };
+    drop_empty_blocks(region, &mut m_final);
     report.repair_time = t.elapsed();
 
     // Phase 3: rebuild allocators and sweep the pools.

@@ -34,7 +34,10 @@ use simurgh_fsapi::{FileMode, FileSystem, FileType, FsResult, OpenFlags, ProcCtx
 use simurgh_pmem::{FaultPlan, PmemRegion};
 
 use simurgh_core::check;
+use simurgh_core::dir::chain;
 use simurgh_core::fs::{SimurghConfig, SimurghFs};
+
+use super::colliding_name;
 
 /// Region size for matrix runs: small enough to remount hundreds of times,
 /// large enough that no scripted op organically exhausts it.
@@ -254,6 +257,29 @@ pub fn hard_link_ops() -> Vec<OpSpec> {
             op: |fs, ctx| fs.unlink(ctx, "/d/f0"),
         },
     ]
+}
+
+/// The chain-block cell: `/d` holds three names on one hash line, so each
+/// sits in its own chain block, and the op unlinks the middle one. Its
+/// block empties but stays linked while mounted; every recovery mount after
+/// the unlink splices it out and frees it. [`run_matrix`] runs this cell
+/// beside [`hard_link_ops`], outside the [`scripted_ops`] cost baseline.
+pub fn chain_block_op() -> OpSpec {
+    fn names() -> [String; 3] {
+        ["c0".to_owned(), colliding_name("c0", "c1-"), colliding_name("c0", "c2-")]
+    }
+    OpSpec {
+        name: "unlink-midblock",
+        setup: |fs, ctx| {
+            fs.mkdir(ctx, "/d", FileMode::dir(0o755)).expect("setup mkdir /d");
+            for n in names() {
+                fs.write_file(ctx, &format!("/d/{n}"), n.as_bytes()).expect("setup file");
+            }
+            let (region, first) = fs.testing_dir_block("/d").expect("setup resolve /d");
+            assert_eq!(chain(&region, first).count(), 3, "setup: one chain block per name");
+        },
+        op: |fs, ctx| fs.unlink(ctx, &format!("/d/{}", names()[1])),
+    }
 }
 
 /// Extent map of one file: `(start, len)` rows in logical order — the
@@ -698,9 +724,11 @@ fn run_op_matrix_inner(spec: &OpSpec, cap: Option<u64>) -> OpMatrix {
     m
 }
 
-/// Runs [`run_op_matrix`] for every scripted operation and hard-link cell.
+/// Runs [`run_op_matrix`] for every scripted operation, hard-link cell and
+/// the chain-block cell.
 pub fn run_matrix(cap: Option<u64>) -> Vec<OpMatrix> {
-    scripted_ops().iter().chain(&hard_link_ops()).map(|s| run_op_matrix(s, cap)).collect()
+    let cells = scripted_ops().into_iter().chain(hard_link_ops()).chain([chain_block_op()]);
+    cells.map(|s| run_op_matrix(&s, cap)).collect()
 }
 
 /// Persistence-cost profile of one scripted operation: counter deltas

@@ -9,13 +9,28 @@
 //!
 //! [`SpinClock`] calibrates how many `spin_loop` iterations one microsecond
 //! takes on this host, once, and then converts "N cycles at 2.5 GHz" into a
-//! spin count. Delays below the calibration resolution still execute a
-//! proportional number of iterations, so even an 18-ns (46-cycle) delay has
-//! a real, repeatable cost.
+//! spin count. The fractional part of each count is carried per thread into
+//! the next call, so the mean spins per call equal the model even when one
+//! delay is shorter than one iteration: an 18-ns (46-cycle) delay costs one
+//! spin on some calls and none on others, in the modelled proportion.
 
+use std::cell::Cell;
 use std::hint::spin_loop;
 use std::sync::OnceLock;
 use std::time::Instant;
+
+thread_local! {
+    /// Spins owed but not yet issued by this thread's earlier delays.
+    static CARRY: Cell<f64> = const { Cell::new(0.0) };
+}
+
+/// Whole spins to issue now for a delay worth `want` spins, given the
+/// fractional `carry` of earlier calls; returns them with the new carry.
+fn spins_with_carry(want: f64, carry: f64) -> (u64, f64) {
+    let total = want + carry;
+    let spins = total.floor();
+    (spins as u64, total - spins)
+}
 
 /// Clock frequency of the paper's evaluation machine (Xeon Gold 5212/5215).
 pub const PAPER_GHZ: f64 = 2.5;
@@ -56,10 +71,16 @@ impl SpinClock {
         GLOBAL.get_or_init(SpinClock::calibrate)
     }
 
-    /// Busy-waits approximately `ns` nanoseconds.
+    /// Busy-waits approximately `ns` nanoseconds (exactly, on average over
+    /// a thread's calls).
     #[inline]
     pub fn delay_ns(&self, ns: f64) {
-        let spins = (self.spins_per_us * ns / 1000.0) as u64;
+        let want = self.spins_per_us * ns / 1000.0;
+        let spins = CARRY.with(|c| {
+            let (spins, rest) = spins_with_carry(want, c.get());
+            c.set(rest);
+            spins
+        });
         for _ in 0..spins {
             spin_loop();
         }
@@ -146,6 +167,25 @@ mod tests {
         let elapsed = start.elapsed().as_secs_f64();
         // Very loose bounds: busy environments can stretch this.
         assert!(elapsed > 0.0003, "1ms of requested delay took {elapsed}s");
+    }
+
+    #[test]
+    fn carried_fraction_makes_the_mean_exact() {
+        // The jmpp delta at a calibration of 50 spins/µs: 0.92 spins per
+        // call. Truncation issued none; the carry issues 92 per 100 calls.
+        let want = 50.0 * 18.4 / 1000.0;
+        let (mut carry, mut issued) = (0.0, 0u64);
+        for _ in 0..10_000 {
+            let (spins, rest) = spins_with_carry(want, carry);
+            assert!(spins <= 1 && (0.0..1.0).contains(&rest));
+            issued += spins;
+            carry = rest;
+        }
+        assert!(issued.abs_diff(9_200) <= 1, "issued {issued} spins for 10k calls");
+        // Above one spin per call the whole part is issued every time.
+        let (spins, rest) = spins_with_carry(2.5, 0.75);
+        assert_eq!(spins, 3);
+        assert!((rest - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tier-1 crash-matrix smoke: the exhaustive power-cut + ENOSPC matrix of
 //! §4.3, run at full resolution for the namespace-critical ops (create,
-//! both renames, both hard-link cells) and with head+tail boundary sampling
-//! for the rest. The
+//! both renames, both hard-link cells, the chain-block unlink) and with
+//! head+tail boundary sampling for the rest. The
 //! full uncapped sweep lives in `crashlab matrix` (see EXPERIMENTS.md).
 
 use simurgh_crashlab::testing::matrix::{self, RecoveredState};
@@ -11,7 +11,11 @@ use simurgh_crashlab::testing::matrix::{self, RecoveredState};
 const CAP: u64 = 6;
 
 fn run(name: &str, cap: Option<u64>) -> matrix::OpMatrix {
-    let ops: Vec<_> = matrix::scripted_ops().into_iter().chain(matrix::hard_link_ops()).collect();
+    let ops: Vec<_> = matrix::scripted_ops()
+        .into_iter()
+        .chain(matrix::hard_link_ops())
+        .chain([matrix::chain_block_op()])
+        .collect();
     let spec = ops.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("unknown op {name}"));
     matrix::run_op_matrix(spec, cap)
 }
@@ -75,6 +79,23 @@ fn unlink_hardlinked_full_matrix() {
     assert_clean(&m);
     assert!(!m.capped);
     assert_eq!(m.cases.len() as u64, m.boundaries + 1);
+}
+
+/// An `unlink` that empties a middle chain block: the block stays linked
+/// while mounted, so every recovery mount after the unlink must splice it
+/// out and free it without disturbing the two names around it.
+#[test]
+fn unlink_midblock_full_matrix() {
+    let m = run("unlink-midblock", None);
+    assert_clean(&m);
+    assert!(!m.capped);
+    assert_eq!(m.cases.len() as u64, m.boundaries + 1);
+    // Boundary 0 reclaims only what the setup left parked in allocator
+    // caches; every rolled-forward state also frees the emptied block.
+    let anchor = m.cases[0].reclaimed;
+    for c in m.cases.iter().filter(|c| c.state == RecoveredState::PostOp) {
+        assert!(c.reclaimed > anchor, "boundary {}: the emptied block was not dropped", c.boundary);
+    }
 }
 
 #[test]

@@ -124,15 +124,14 @@ fn rename_crash_mid_protocol_resolves_exactly_once() {
     fs.write_file(&CTX, "/dir/old-name", b"payload").unwrap();
     let env = fs.testing_dir_env();
     let (_, first) = fs.testing_dir_block("/dir").unwrap();
-    // Reproduce Fig. 5c up to step 5: shadow entry created, directory
-    // rename flag set, old line pointing at the *new* entry (hash
-    // mismatch), nothing published at the new line yet.
+    // Reproduce Fig. 5c up to step 5: shadow entry created, old line
+    // pointing at the *new* entry (hash mismatch), nothing published at
+    // the new line yet.
     let old_fe = dir::lookup(&env, first, "old-name").unwrap();
     let ino = old_fe.inode(fs.region());
     let nfe = env.meta.alloc(PoolKind::FileEntry).unwrap();
     FileEntry(nfe).init(fs.region(), "new-name", FileType::Regular, ino);
     fs.region().persist(nfe, 256);
-    first.set_flag(fs.region(), simurgh_core::obj::dirblock::DF_RENAME);
     let old_line = dir_line("old-name", NLINES);
     // Find the block whose slot holds the old entry and redirect it.
     let blk = dir::chain(fs.region(), first)
@@ -167,7 +166,6 @@ fn decentralized_repair_mid_rename_is_per_line() {
     let nfe = env.meta.alloc(PoolKind::FileEntry).unwrap();
     FileEntry(nfe).init(fs.region(), "new-name", FileType::Regular, ino);
     fs.region().persist(nfe, 256);
-    first.set_flag(fs.region(), simurgh_core::obj::dirblock::DF_RENAME);
     let old_line = dir_line("old-name", NLINES);
     let home = dir_line("new-name", NLINES);
     let blk = dir::chain(fs.region(), first)
@@ -279,7 +277,6 @@ fn cross_rename_crash_after_publish_rolls_forward() {
             new_line: new_line as u64,
         },
     );
-    src.set_flag(fs.region(), simurgh_core::obj::dirblock::DF_RENAME);
     dst.set_line(fs.region(), new_line, nfe);
 
     let fs2 = recover_and_check(&fs);
@@ -314,7 +311,6 @@ fn cross_rename_crash_before_publish_rolls_back() {
             new_line: dir_line("gone", NLINES) as u64,
         },
     );
-    src.set_flag(fs.region(), simurgh_core::obj::dirblock::DF_RENAME);
 
     let fs2 = recover_and_check(&fs);
     assert_eq!(fs2.read_to_vec(&CTX, "/dir/stayer").unwrap(), b"luggage", "rollback keeps source");
@@ -331,7 +327,6 @@ fn same_dir_rename_nospace_leaves_directory_consistent() {
     let fs = setup();
     fs.write_file(&CTX, "/dir/mover", b"payload").unwrap();
     let env = fs.testing_dir_env();
-    let (region, first) = fs.testing_dir_block("/dir").unwrap();
     // A destination name whose line collides with "existing": the first
     // block's slot is taken, so the rename must extend the chain.
     let clash = simurgh_crashlab::testing::colliding_name("existing", "clash");
@@ -340,8 +335,7 @@ fn same_dir_rename_nospace_leaves_directory_consistent() {
     while env.meta.alloc(PoolKind::DirBlock).is_ok() {}
 
     assert!(fs.rename(&CTX, "/dir/mover", &clash_path).is_err(), "rename must report NoSpace");
-    // No half-state: flag clear, both names in their pre-rename state.
-    assert_eq!(first.flags(&region) & simurgh_core::obj::dirblock::DF_RENAME, 0);
+    // No half-state: both names in their pre-rename state.
     assert_eq!(fs.read_to_vec(&CTX, "/dir/mover").unwrap(), b"payload");
     assert!(fs.stat(&CTX, &clash_path).is_err());
 
@@ -370,9 +364,8 @@ fn cross_dir_rename_nospace_leaves_journal_idle() {
     while env.meta.alloc(PoolKind::DirBlock).is_ok() {}
 
     assert!(fs.rename(&CTX, "/dir/mover2", &clash_path).is_err(), "rename must report NoSpace");
-    // The journal was never armed and the source directory is not flagged.
+    // The journal was never armed.
     assert_eq!(src.read_log(&region).op, simurgh_core::obj::dirblock::logop::IDLE);
-    assert_eq!(src.flags(&region) & simurgh_core::obj::dirblock::DF_RENAME, 0);
     assert_eq!(fs.read_to_vec(&CTX, "/dir/mover2").unwrap(), b"cargo");
     assert!(fs.stat(&CTX, &clash_path).is_err());
 

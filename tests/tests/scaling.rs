@@ -118,6 +118,53 @@ fn deleted_slots_are_reused_not_rescanned() {
     assert!(d.probes_per_lookup() <= 1.5, "churned lookups degraded");
 }
 
+/// `meta_mix`'s namespace cycle, `cycles` times, in a directory holding
+/// `entries` other files: create a name, rename it out to a second
+/// directory, rename it back under a new name, unlink it. Returns the
+/// directory counters and the fences of the cycles alone.
+fn churn_cycles(fs: &SimurghFs, entries: usize, cycles: usize) -> (DirStatsSnapshot, u64) {
+    fs.mkdir(&CTX, "/d", FileMode::dir(0o777)).unwrap();
+    fs.mkdir(&CTX, "/out", FileMode::dir(0o777)).unwrap();
+    for i in 0..entries {
+        let fd = fs.open(&CTX, &format!("/d/p{i}"), OpenFlags::CREATE, FileMode::default()).unwrap();
+        fs.close(&CTX, fd).unwrap();
+    }
+    let base = fs.dir_stats();
+    let fences = fs.region().stats().snapshot().fences;
+    for j in 0..cycles {
+        let (a, b, c) = (format!("/d/n{j}"), format!("/out/k{j}"), format!("/d/m{j}"));
+        let fd = fs.open(&CTX, &a, OpenFlags::CREATE, FileMode::default()).unwrap();
+        fs.close(&CTX, fd).unwrap();
+        fs.rename(&CTX, &a, &b).unwrap();
+        fs.rename(&CTX, &b, &c).unwrap();
+        fs.unlink(&CTX, &c).unwrap();
+    }
+    (fs.dir_stats().since(&base), fs.region().stats().snapshot().fences - fences)
+}
+
+#[test]
+fn churn_in_a_large_directory_does_not_regrow_its_chain() {
+    // Unlink never shrinks a mounted chain, so a churned directory's blocks
+    // keep their holes for the next create instead of being freed and
+    // re-linked: chain extensions stay rare, and a cycle costs the same
+    // fences at 5k entries as at 1k.
+    const CYCLES: usize = 5_000;
+    let (_, small_fences) = churn_cycles(&simurgh(64 << 20), 1_000, CYCLES);
+    let (big, big_fences) = churn_cycles(&simurgh(128 << 20), 5_000, CYCLES);
+    assert!(
+        big.extends * 100 <= CYCLES as u64,
+        "{} chain extensions in {CYCLES} cycles at 5k entries",
+        big.extends
+    );
+    let per_cycle = |f: u64| f as f64 / CYCLES as f64;
+    assert!(
+        (per_cycle(big_fences) - per_cycle(small_fences)).abs() <= 0.01,
+        "fences per cycle: {:.3} at 5k entries, {:.3} at 1k",
+        per_cycle(big_fences),
+        per_cycle(small_fences)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Data path: extent cursor cache and append fast path
 // ---------------------------------------------------------------------------
