@@ -16,6 +16,7 @@ use parking_lot::{Mutex, RwLock};
 use simurgh_fsapi::fs::{DirEntry, FileSystem, OpenTable, ProcCtx};
 use simurgh_fsapi::types::{access, Fd, FileMode, FileType, FsStats, OpenFlags, SeekFrom, Stat};
 use simurgh_fsapi::{path, FsError, FsResult};
+use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::profile::{AllocKind, DirKind, FsProfile, JournalKind};
@@ -37,10 +38,10 @@ simurgh_pmem::counters! {
 }
 
 /// Runs `f`, adding its duration in nanoseconds to `counter`.
-fn timed<R>(counter: &AtomicU64, f: impl FnOnce() -> R) -> R {
+fn timed<R>(counter: &Counter, f: impl FnOnce() -> R) -> R {
     let start = Instant::now();
     let out = f();
-    counter.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    counter.add(start.elapsed().as_nanos() as u64);
     out
 }
 

@@ -66,7 +66,7 @@ impl Backoff {
         if self.spun >= YIELD_AFTER {
             std::thread::yield_now();
         }
-        lock_stats().spin_rounds.fetch_add(1, Ordering::Relaxed);
+        lock_stats().spin_rounds.add(1);
     }
 
     /// Rounds waited so far (diagnostics).
@@ -143,7 +143,7 @@ impl TsLock {
         let mut backoff = Backoff::default();
         loop {
             if let Some(g) = self.try_acquire() {
-                lock_stats().acquires.fetch_add(1, Ordering::Relaxed);
+                lock_stats().acquires.add(1);
                 return (g, Acquired::Fresh);
             }
             let seen = self.state.load(Ordering::Acquire);
@@ -162,8 +162,8 @@ impl TsLock {
                     {
                         crate::obs::trace(crate::obs::EventKind::LockSteal, seen, stamp);
                         let stats = lock_stats();
-                        stats.acquires.fetch_add(1, Ordering::Relaxed);
-                        stats.steals.fetch_add(1, Ordering::Relaxed);
+                        stats.acquires.add(1);
+                        stats.steals.add(1);
                         return (TsGuard { lock: self, stamp }, Acquired::Stolen);
                     }
                 }

@@ -234,7 +234,7 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
     }
     // 1. New home: one contiguous run, placed by the usual inode hint.
     let Some(dst) = env.blocks.alloc(ino.ptr().off() / 64, nblocks) else {
-        stats.skipped_nospace.fetch_add(1, Ordering::Relaxed);
+        stats.skipped_nospace.add(1);
         return Ok(Reloc::NoSpace);
     };
     // 2. Copy and persist the bytes before any pointer can reach them.
@@ -254,7 +254,7 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
     // 3. Arm the journal with the old map.
     if !journal::arm(r, ino) {
         env.blocks.free(dst, nblocks);
-        stats.skipped_busy.fetch_add(1, Ordering::Relaxed);
+        stats.skipped_busy.add(1);
         return Ok(Reloc::Busy);
     }
     // 4. Swap the map under one fence scope, sealed by an eager commit:
@@ -282,9 +282,9 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
     if let Some(c) = env.cursor {
         c.invalidate();
     }
-    stats.relocated_files.fetch_add(1, Ordering::Relaxed);
-    stats.relocated_blocks.fetch_add(nblocks, Ordering::Relaxed);
-    stats.extents_merged.fetch_add(map.len() as u64 - 1, Ordering::Relaxed);
+    stats.relocated_files.add(1);
+    stats.relocated_blocks.add(nblocks);
+    stats.extents_merged.add(map.len() as u64 - 1);
     Ok(Reloc::Moved(nblocks))
 }
 

@@ -11,11 +11,11 @@
 //! decentralized as in the paper, by any process that times out waiting on
 //! a busy flag (the previous holder is presumed crashed).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use simurgh_fsapi::types::FileType;
 use simurgh_fsapi::{FsError, FsResult};
+use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::alloc::{lock_stats, Backoff, MetaAllocator};
@@ -102,9 +102,9 @@ impl<'a> DirEnv<'a> {
     }
 
     #[inline]
-    fn bump(&self, counter: impl Fn(&DirStats) -> &AtomicU64) {
+    fn bump(&self, counter: impl Fn(&DirStats) -> &Counter) {
         if let Some(s) = self.stats {
-            counter(s).fetch_add(1, Ordering::Relaxed);
+            counter(s).add(1);
         }
     }
 }
@@ -128,7 +128,7 @@ pub fn lock_line<'a>(env: &DirEnv<'a>, first: DirBlock, line: usize) -> LineGuar
     let mut backoff = Backoff::default();
     loop {
         if first.try_busy(env.region, line) {
-            lock_stats().acquires.fetch_add(1, Ordering::Relaxed);
+            lock_stats().acquires.add(1);
             return LineGuard { region: env.region, first, line };
         }
         if start.elapsed() > env.max_hold {
@@ -141,7 +141,7 @@ pub fn lock_line<'a>(env: &DirEnv<'a>, first: DirBlock, line: usize) -> LineGuar
             );
             repair_line(env, first, line);
             first.release_busy(env.region, line);
-            lock_stats().steals.fetch_add(1, Ordering::Relaxed);
+            lock_stats().steals.add(1);
             // The takeover is complete: the presumed-dead holder's line is
             // repaired and its flag is ours to race for. Surviving
             // processes prove decentralized recovery by this event.

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use simurgh_fsapi::{FsError, FsResult};
+use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use crate::alloc::{lock_stats, AllocFaults, Backoff, BlockAlloc};
@@ -275,9 +276,9 @@ impl<'a> FileEnv<'a> {
     }
 
     #[inline]
-    fn bump(&self, counter: impl Fn(&DataStats) -> &AtomicU64) {
+    fn bump(&self, counter: impl Fn(&DataStats) -> &Counter) {
         if let Some(s) = self.stats {
-            counter(s).fetch_add(1, Ordering::Relaxed);
+            counter(s).add(1);
         }
     }
 
@@ -288,7 +289,7 @@ impl<'a> FileEnv<'a> {
         let Some(s) = self.stats else { return f() };
         let start = Instant::now();
         let out = f();
-        s.copy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        s.copy_ns.add(start.elapsed().as_nanos() as u64);
         out
     }
 }
@@ -334,7 +335,7 @@ pub fn lock_read<'a>(env: &FileEnv<'a>, ino: Inode) -> ReadGuard<'a> {
         let s = a.load(Ordering::Acquire);
         if s & WRITER == 0 {
             if a.compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                lock_stats().acquires.fetch_add(1, Ordering::Relaxed);
+                lock_stats().acquires.add(1);
                 return ReadGuard { region: env.region, lock };
             }
         } else if start.elapsed() > env.max_hold {
@@ -343,7 +344,7 @@ pub fn lock_read<'a>(env: &FileEnv<'a>, ino: Inode) -> ReadGuard<'a> {
             // another waiter's reset, making their guards underflow on drop.
             crate::obs::trace(crate::obs::EventKind::BusyTimeout, lock.off(), s);
             a.fetch_and(!WRITER, Ordering::AcqRel);
-            lock_stats().steals.fetch_add(1, Ordering::Relaxed);
+            lock_stats().steals.add(1);
             start = Instant::now();
         }
         backoff.wait();
@@ -361,7 +362,7 @@ pub fn lock_write<'a>(env: &FileEnv<'a>, ino: Inode) -> WriteGuard<'a> {
     let mut backoff = Backoff::default();
     loop {
         if a.compare_exchange_weak(0, WRITER, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-            lock_stats().acquires.fetch_add(1, Ordering::Relaxed);
+            lock_stats().acquires.add(1);
             return WriteGuard { region: Some(env.region), lock };
         }
         if start.elapsed() > env.max_hold {
@@ -371,7 +372,7 @@ pub fn lock_write<'a>(env: &FileEnv<'a>, ino: Inode) -> WriteGuard<'a> {
                 // reader counts that raced in survive the steal.
                 crate::obs::trace(crate::obs::EventKind::BusyTimeout, lock.off(), s);
                 a.fetch_and(!WRITER, Ordering::AcqRel);
-                lock_stats().steals.fetch_add(1, Ordering::Relaxed);
+                lock_stats().steals.add(1);
             } else if s != 0 {
                 // Readers still pinned after a full extra grace period are
                 // presumed crashed. CAS the exact observed count — never a

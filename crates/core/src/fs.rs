@@ -371,9 +371,7 @@ impl SimurghFs {
         };
         // Trace every sfence boundary. Regions produced by `simulate_crash`
         // are fresh, so each format/mount re-installs the hook.
-        fs.region.set_fence_hook(Box::new(|n| {
-            obs::trace(obs::EventKind::Fence, n, 0);
-        }));
+        fs.region.set_fence_hook(Box::new(obs::trace_fence));
         fs
     }
 
@@ -533,7 +531,7 @@ impl SimurghFs {
                 nblocks += b;
             }
         }
-        self.obs.frag.passes.fetch_add(1, Ordering::Relaxed);
+        self.obs.frag.passes.add(1);
         (nfiles, nblocks)
     }
 

@@ -13,11 +13,8 @@
 //! 2. **Latency histograms** — log2-bucket [`Histogram`]s around every
 //!    `FileSystem` op (keyed by the wire table's `RequestKind`) and each
 //!    mount/recovery [`Phase`], driven by [`ObsRegistry::time_op`] and
-//!    reported per op as count/p50/p99/max. Recording costs five relaxed
-//!    atomic RMWs per op: the histogram's bucket add, `fetch_max` and
-//!    `sum_ns` add, and the two `fetch_add`s on the process-global trace
-//!    sequence that the `OpBegin`/`OpEnd` events take in [`trace`].
-//!    Quantiles are computed at snapshot time.
+//!    reported per op as count/p50/p99/max. Quantiles are computed at
+//!    snapshot time.
 //! 3. **Trace ring** — a lock-free fixed-size per-thread ring of
 //!    [`TraceEvent`]s ([`trace`]) recording op begin/end, `TsLock` steals,
 //!    busy-flag timeouts, alloc-fault injections and sfence boundaries.
@@ -27,16 +24,25 @@
 //!    for embedding in failure reports (crash-matrix cells attach it to
 //!    their `failures` output; `crashlab matrix --trace` prints it).
 //!
-//! The ring is global to the process (threads outlive file systems, and a
+//! Recording shares no cache line between threads. Every battery field and
+//! every histogram keeps one block per thread slot
+//! ([`simurgh_pmem::stats::PerThread`]), and each ring numbers its own
+//! events, so an op's histogram sample and its two trace events are plain
+//! stores to the calling thread's own lines (threads beyond the slots
+//! share one overflow block). The price is that events of different
+//! threads carry no common order.
+//!
+//! The rings are global to the process (threads outlive file systems, and a
 //! steal event has no natural owner fs), so drains from concurrent tests
 //! interleave; consumers filter by payload (e.g. their own lock stamps).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use simurgh_fsapi::wire::RequestKind;
-use simurgh_pmem::stats::{json_object, StatsSnapshot};
+use simurgh_pmem::stats::{json_object, PerThread, StatsSnapshot};
 
 use crate::alloc::{lock_stats, AllocFaults, BlockAlloc, LockStats, MetaAllocator};
 use crate::compact::{frag_json, FragStats};
@@ -88,13 +94,26 @@ impl Phase {
 /// (bucket 0 holds 0-ns samples), so 64 buckets cover every `u64`.
 const BUCKETS: usize = 64;
 
-/// A lock-free log2-bucket latency histogram. Recording is two relaxed
-/// `fetch_add`s (bucket and running sum) plus one relaxed `fetch_max`; the
-/// exact maximum is kept so the tail is never rounded to a bucket boundary.
-pub struct Histogram {
+/// A lock-free log2-bucket latency histogram, kept per thread. Recording
+/// bumps the calling thread's bucket, running sum and maximum; the exact
+/// maximum is kept so the tail is never rounded to a bucket boundary.
+pub struct Histogram(PerThread<HistBlock>);
+
+/// One thread slot's share of a [`Histogram`].
+struct HistBlock {
     buckets: [AtomicU64; BUCKETS],
     max_ns: AtomicU64,
     sum_ns: AtomicU64,
+}
+
+impl Default for HistBlock {
+    fn default() -> Self {
+        HistBlock {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            max_ns: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+        }
+    }
 }
 
 /// Point-in-time quantile summary of one [`Histogram`].
@@ -122,12 +141,8 @@ impl Histogram {
     /// An empty histogram. Public so out-of-crate recorders (the gateway
     /// load generator measures client-side latency) can reuse the same
     /// bucketing as the in-FS probes.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_ns: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-        }
+    pub const fn new() -> Self {
+        Histogram(PerThread::new())
     }
 
     fn bucket_of(ns: u64) -> usize {
@@ -136,9 +151,10 @@ impl Histogram {
 
     /// Records one sample of `ns` nanoseconds.
     pub fn record(&self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        let (block, w) = self.0.local();
+        w.add(&block.buckets[Self::bucket_of(ns)], 1);
+        w.max(&block.max_ns, ns);
+        w.add(&block.sum_ns, ns);
     }
 
     /// Inclusive upper bound of bucket `i` in ns.
@@ -153,9 +169,15 @@ impl Histogram {
     /// Captures count/p50/p99/max/sum. Quantiles are bucket upper bounds
     /// (≤ one power of two above the true value), capped at the exact max.
     pub fn snapshot(&self) -> HistSnapshot {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let (mut counts, mut max_ns, mut sum_ns) = ([0u64; BUCKETS], 0u64, 0u64);
+        for block in self.0.blocks() {
+            for (c, b) in counts.iter_mut().zip(&block.buckets) {
+                *c += b.load(Ordering::Relaxed);
+            }
+            max_ns = max_ns.max(block.max_ns.load(Ordering::Relaxed));
+            sum_ns += block.sum_ns.load(Ordering::Relaxed);
+        }
         let count: u64 = counts.iter().sum();
-        let max_ns = self.max_ns.load(Ordering::Relaxed);
         if count == 0 {
             return HistSnapshot::default();
         }
@@ -170,7 +192,6 @@ impl Histogram {
             }
             max_ns
         };
-        let sum_ns = self.sum_ns.load(Ordering::Relaxed);
         HistSnapshot { count, p50_ns: quantile(1, 2), p99_ns: quantile(99, 100), max_ns, sum_ns }
     }
 }
@@ -365,7 +386,7 @@ pub const RING_EVENTS: usize = 1024;
 /// | `LockSteal` (busy line) | first hash block offset | line index |
 /// | `BusyTimeout` | lock/flag address or line | observed word |
 /// | `AllocFault` | k-th attempt injected | 0 meta / 1 data |
-/// | `Fence` | running fence count | 0 |
+/// | `Fence` | the thread's own fence count ([`trace_fence`]) | 0 |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     OpBegin,
@@ -404,7 +425,9 @@ impl EventKind {
 /// One drained trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Globally ordered sequence number (allocation order, not retirement).
+    /// The event's number in its thread's ring, from 1. It orders the
+    /// thread's own events; the order of events from different threads is
+    /// unspecified.
     pub seq: u64,
     /// Small per-thread id (assigned at the thread's first trace).
     pub tid: u64,
@@ -453,7 +476,9 @@ struct Slot {
 }
 
 /// A single-writer trace ring. Only the owning thread stores; any thread
-/// may read a best-effort snapshot.
+/// may read a best-effort snapshot. Aligned so no two rings' write indexes
+/// share a cache line.
+#[repr(align(128))]
 struct Ring {
     tid: u64,
     /// Next write position; written only by the owner, read by drainers.
@@ -474,15 +499,15 @@ impl Ring {
         Ring { tid, widx: AtomicU64::new(0), slots }
     }
 
-    /// Owner-only append.
-    fn push(&self, seq: u64, kind: EventKind, a: u64, b: u64) {
+    /// Owner-only append; the event is numbered `widx + 1`.
+    fn push(&self, kind: EventKind, a: u64, b: u64) {
         let i = self.widx.load(Ordering::Relaxed);
         let slot = &self.slots[(i as usize) % RING_EVENTS];
         slot.seq.store(0, Ordering::Release); // invalidate for racing readers
         slot.kind.store(kind.encode(), Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        slot.seq.store(i + 1, Ordering::Release);
         self.widx.store(i + 1, Ordering::Release);
     }
 
@@ -507,45 +532,62 @@ impl Ring {
     }
 }
 
-/// Global event ordering. Starts at 1 so `seq == 0` can mean "empty slot".
-static SEQ: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+/// Every ring ever created. A ring outlives its thread, so its last events
+/// stay drainable; rings are never freed.
+fn rings() -> &'static Mutex<Vec<&'static Ring>> {
+    static RINGS: OnceLock<Mutex<Vec<&'static Ring>>> = OnceLock::new();
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 thread_local! {
-    /// This thread's ring; created (and registered globally) on first use.
-    static MY_RING: Arc<Ring> = {
-        let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
-        rings().lock().expect("ring registry").push(Arc::clone(&ring));
-        ring
-    };
+    /// This thread's ring, created and registered on its first event.
+    static MY_RING: Cell<Option<&'static Ring>> = const { Cell::new(None) };
+}
+
+#[cold]
+fn new_ring() -> &'static Ring {
+    let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    let ring: &'static Ring = Box::leak(Box::new(Ring::new(tid)));
+    rings().lock().expect("ring registry").push(ring);
+    MY_RING.set(Some(ring));
+    ring
 }
 
 /// Appends one event to the calling thread's ring. Lock-free and
-/// allocation-free after the thread's first call.
+/// allocation-free after the thread's first call. Events of one thread keep
+/// their order; events of different threads are not ordered.
 pub fn trace(kind: EventKind, a: u64, b: u64) {
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    MY_RING.with(|r| r.push(seq, kind, a, b));
+    MY_RING.get().unwrap_or_else(new_ring).push(kind, a, b);
+}
+
+/// Traces one sfence boundary, numbered by the calling thread's own count
+/// of traced fences. The file system installs it as its region's fence
+/// hook.
+pub fn trace_fence() {
+    thread_local! {
+        static FENCES: Cell<u64> = const { Cell::new(0) };
+    }
+    let n = FENCES.with(|c| {
+        c.set(c.get() + 1);
+        c.get()
+    });
+    trace(EventKind::Fence, n, 0);
 }
 
 /// Drains up to the `per_thread` most recent events from every thread's
-/// ring, merged and sorted by sequence number. Best-effort under concurrent
-/// writers (in-flight slots are skipped, never misread).
+/// ring: grouped by thread, each thread's events in its own order, the
+/// threads in an unspecified order. Best-effort under concurrent writers
+/// (in-flight slots are skipped, never misread).
 pub fn recent(per_thread: usize) -> Vec<TraceEvent> {
-    let rings: Vec<Arc<Ring>> =
-        rings().lock().expect("ring registry").iter().map(Arc::clone).collect();
+    let rings: Vec<&'static Ring> = rings().lock().expect("ring registry").clone();
     let mut all = Vec::new();
     for ring in rings {
         let mut evs = ring.drain();
-        evs.sort_by_key(|e| std::cmp::Reverse(e.seq));
-        evs.truncate(per_thread);
-        all.extend(evs);
+        evs.sort_by_key(|e| e.seq);
+        all.extend_from_slice(&evs[evs.len().saturating_sub(per_thread)..]);
     }
-    all.sort_by_key(|e| e.seq);
     all
 }
 
@@ -584,6 +626,21 @@ mod tests {
         assert_eq!(s.count, 1);
         assert_eq!(s.p50_ns, 0);
         assert_eq!(s.max_ns, 0);
+    }
+
+    #[test]
+    fn histogram_is_exact_across_threads() {
+        let h = Histogram::new();
+        std::thread::scope(|s| {
+            for t in 1..=4u64 {
+                let h = &h;
+                s.spawn(move || (1..=1_000).for_each(|i| h.record(t * i)));
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 4_000);
+        assert_eq!(snap.sum_ns, (1..=4u64).map(|t| t * 500_500).sum::<u64>());
+        assert_eq!(snap.max_ns, 4_000);
     }
 
     #[test]

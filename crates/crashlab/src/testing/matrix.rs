@@ -486,20 +486,33 @@ fn matrix_config() -> SimurghConfig {
     SimurghConfig { segments: Some(4), ..SimurghConfig::default() }
 }
 
-fn fresh(spec: &OpSpec, ctx: &ProcCtx) -> SimurghFs {
+/// A formatted tracked region with `spec`'s setup applied.
+fn set_up(spec: &OpSpec, ctx: &ProcCtx) -> SimurghFs {
     let region = Arc::new(PmemRegion::new_tracked(REGION_BYTES));
     let fs = SimurghFs::format(region, matrix_config()).expect("format tracked region");
     (spec.setup)(&fs, ctx);
     fs
 }
 
+/// [`set_up`] with this thread's allocator caches drained, ready for a
+/// fault plan.
+fn fresh(spec: &OpSpec, ctx: &ProcCtx) -> SimurghFs {
+    let fs = set_up(spec, ctx);
+    // The per-thread refill cache and tail reservation are claimed-but-
+    // unreachable *by design* (bounded, reclaimed by any recovery — the
+    // group-commit tests assert that separately). Draining them before any
+    // fault plan is armed makes the un-claims durable, so a cut at
+    // boundary 0 leaves nothing to reclaim.
+    fs.quiesce_thread_caches();
+    fs
+}
+
 /// Crash `fs` now and remount through recovery; returns the recovered fs
 /// and its reclaimed-object count.
 fn crash_remount(fs: &SimurghFs) -> Result<(SimurghFs, u64), String> {
-    // Quiesce first: the per-thread refill cache and tail reservation are
-    // claimed-but-unreachable *by design* (bounded, reclaimed by any
-    // recovery — the group-commit tests assert that separately). Draining
-    // them keeps the reclaimed-object witness focused on protocol garbage.
+    // Quiesce again for the idle second crash of `verify_recovered`. After
+    // an armed cut the un-claims never reach media, so a replay's
+    // reclaimed count still includes the refill claims of the op itself.
     fs.quiesce_thread_caches();
     let image = Arc::new(fs.region().simulate_crash());
     let fs2 = SimurghFs::mount(image, matrix_config()).map_err(|e| format!("recovery mount: {e}"))?;
@@ -751,12 +764,14 @@ pub struct OpCosts {
 
 /// Measures [`OpCosts`] for every scripted op, in [`scripted_ops`] order.
 /// Deterministic: same fixed-segment config the crash matrix records with.
+/// The setup's allocator caches stay warm, so the op pays its steady-state
+/// pool trips.
 pub fn probe_costs() -> Vec<OpCosts> {
     let ctx = ProcCtx::root(1);
     scripted_ops()
         .iter()
         .map(|spec| {
-            let fs = fresh(spec, &ctx);
+            let fs = set_up(spec, &ctx);
             let s0 = fs.region().stats().snapshot();
             let p0 = fs.meta_alloc().pool_trips();
             let g0 = fs.block_alloc().seg_trips();

@@ -107,7 +107,7 @@ fn procs_config() -> SimurghConfig {
 // ---------------------------------------------------------------------------
 
 static KILL_ARMED: AtomicBool = AtomicBool::new(false);
-static KILL_BASE: AtomicU64 = AtomicU64::new(0);
+static KILL_SEEN: AtomicU64 = AtomicU64::new(0);
 static KILL_AFTER: AtomicU64 = AtomicU64::new(0);
 
 mod sys {
@@ -132,12 +132,13 @@ fn die_by_sigkill() -> ! {
 
 /// The fence observer the victim installs *before* `mount_shared` (the hook
 /// slot is first-set-wins, so installing early beats the mount's own
-/// observer). Counts persistence boundaries crossed since arming.
-fn kill_hook(fence_no: u64) {
+/// observer). Counts persistence boundaries crossed since arming: its own
+/// calls, since the victim runs its op on one thread.
+fn kill_hook() {
     if !KILL_ARMED.load(Ordering::Acquire) {
         return;
     }
-    let since = fence_no.saturating_sub(KILL_BASE.load(Ordering::Acquire));
+    let since = KILL_SEEN.fetch_add(1, Ordering::Relaxed) + 1;
     if since >= KILL_AFTER.load(Ordering::Acquire) {
         die_by_sigkill();
     }
@@ -198,7 +199,7 @@ pub fn worker_main() -> ! {
         if kill_fence == 0 {
             die_by_sigkill();
         }
-        KILL_BASE.store(region.stats().snapshot().fences, Ordering::Release);
+        KILL_SEEN.store(0, Ordering::Relaxed);
         KILL_AFTER.store(kill_fence, Ordering::Release);
         KILL_ARMED.store(true, Ordering::Release);
         let _ = (spec.op)(&fs, &ctx);

@@ -7,30 +7,29 @@
 //! latency) are injected as real busy-wait delays so that throughput
 //! comparisons between file systems include them.
 //!
-//! [`SpinClock`] calibrates how many `spin_loop` iterations one microsecond
-//! takes on this host, once, and then converts "N cycles at 2.5 GHz" into a
-//! spin count. The fractional part of each count is carried per thread into
-//! the next call, so the mean spins per call equal the model even when one
-//! delay is shorter than one iteration: an 18-ns (46-cycle) delay costs one
-//! spin on some calls and none on others, in the modelled proportion.
+//! [`SpinClock`] calibrates, once, what a delay call costs on this host:
+//! every call costs a few ns of bookkeeping, and a call that issues `k`
+//! `spin_loop` iterations costs a fixed part more plus `k` times a per-spin
+//! part (one spin issued alone costs far more than a spin of a long run).
+//! It then converts "N cycles at 2.5 GHz" into whole spins and carries the
+//! nanoseconds it could not spend into the thread's next call, so the mean
+//! cost per call equals the model even when one delay is cheaper than the
+//! cheapest call that spins: an 18-ns (46-cycle) delay spins on some calls
+//! and not on others, in the modelled proportion.
 
 use std::cell::Cell;
-use std::hint::spin_loop;
+use std::hint::{black_box, spin_loop};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 thread_local! {
-    /// Spins owed but not yet issued by this thread's earlier delays.
-    static CARRY: Cell<f64> = const { Cell::new(0.0) };
+    /// Nanoseconds of delay owed but not yet spent by this thread's
+    /// earlier calls.
+    static OWED_NS: Cell<f64> = const { Cell::new(0.0) };
 }
 
-/// Whole spins to issue now for a delay worth `want` spins, given the
-/// fractional `carry` of earlier calls; returns them with the new carry.
-fn spins_with_carry(want: f64, carry: f64) -> (u64, f64) {
-    let total = want + carry;
-    let spins = total.floor();
-    (spins as u64, total - spins)
-}
+/// Spins per call of the calibration's long calls.
+const LONG_CALL_SPINS: u64 = 32;
 
 /// Clock frequency of the paper's evaluation machine (Xeon Gold 5212/5215).
 pub const PAPER_GHZ: f64 = 2.5;
@@ -38,31 +37,43 @@ pub const PAPER_GHZ: f64 = 2.5;
 /// A calibrated busy-wait clock.
 #[derive(Debug, Clone, Copy)]
 pub struct SpinClock {
-    spins_per_us: f64,
+    /// Cost of every call, in ns.
+    base_ns: f64,
+    /// Fixed cost a call that spins pays on top, in ns.
+    call_ns: f64,
+    /// Cost of each spin of such a call, in ns.
+    spin_ns: f64,
 }
 
 impl SpinClock {
-    /// Calibrates the spin loop against `Instant`. Takes a few milliseconds;
-    /// do it once and reuse (see [`SpinClock::global`]).
+    /// Calibrates against `Instant` by timing delay calls that issue no
+    /// spin, one spin and `LONG_CALL_SPINS` (32) spins each: the first is the
+    /// cost of every call, the line through the other two gives the fixed
+    /// and the per-spin part. Each is the median of five interleaved rounds
+    /// of 100k spins. Takes about 40 ms; do it once and reuse (see
+    /// [`SpinClock::global`]).
     pub fn calibrate() -> Self {
-        // Warm up.
-        for _ in 0..10_000 {
-            spin_loop();
-        }
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let iters: u64 = 2_000_000;
+        // Charging 1 ns per spin and nothing per call, `delay_ns(k)`
+        // issues exactly `k` spins through the same code as a real delay.
+        let unit = SpinClock { base_ns: 0.0, call_ns: 0.0, spin_ns: 1.0 };
+        unit.delay_ns(10_000.0); // warm up
+        let per_call_ns = |spins: u64| {
+            let calls = 100_000 / spins.max(1);
             let start = Instant::now();
-            for _ in 0..iters {
-                spin_loop();
+            for _ in 0..calls {
+                unit.delay_ns(black_box(spins as f64));
             }
-            let us = start.elapsed().as_secs_f64() * 1e6;
-            if us > 0.0 {
-                best = best.min(us / iters as f64);
-            }
-        }
-        let per_iter_us = if best.is_finite() && best > 0.0 { best } else { 1e-3 };
-        SpinClock { spins_per_us: 1.0 / per_iter_us }
+            start.elapsed().as_secs_f64() * 1e9 / calls as f64
+        };
+        let mut rounds: Vec<[f64; 3]> =
+            (0..5).map(|_| [0, 1, LONG_CALL_SPINS].map(per_call_ns)).collect();
+        let mut median = |i: usize| {
+            rounds.sort_by(|a, b| a[i].total_cmp(&b[i]));
+            rounds[2][i]
+        };
+        let (none, one, long) = (median(0), median(1), median(2));
+        let spin_ns = ((long - one) / (LONG_CALL_SPINS - 1) as f64).max(0.1);
+        SpinClock { base_ns: none, call_ns: (one - none - spin_ns).max(0.0), spin_ns }
     }
 
     /// The lazily calibrated process-wide clock.
@@ -71,14 +82,26 @@ impl SpinClock {
         GLOBAL.get_or_init(SpinClock::calibrate)
     }
 
+    /// Whole spins to issue for a delay of `ns` when earlier calls left
+    /// `owed_ns` unspent; returns them with the nanoseconds still owed.
+    #[inline]
+    fn spins_for(&self, owed_ns: f64, ns: f64) -> (u64, f64) {
+        // Every call pays `base_ns`; a delay shorter than that owes nothing.
+        let due = (owed_ns + ns - self.base_ns).max(0.0);
+        if due < self.call_ns + self.spin_ns {
+            return (0, due);
+        }
+        let spins = ((due - self.call_ns) / self.spin_ns).floor();
+        (spins as u64, due - self.call_ns - spins * self.spin_ns)
+    }
+
     /// Busy-waits approximately `ns` nanoseconds (exactly, on average over
     /// a thread's calls).
     #[inline]
     pub fn delay_ns(&self, ns: f64) {
-        let want = self.spins_per_us * ns / 1000.0;
-        let spins = CARRY.with(|c| {
-            let (spins, rest) = spins_with_carry(want, c.get());
-            c.set(rest);
+        let spins = OWED_NS.with(|owed| {
+            let (spins, rest) = self.spins_for(owed.get(), ns);
+            owed.set(rest);
             spins
         });
         for _ in 0..spins {
@@ -90,11 +113,6 @@ impl SpinClock {
     #[inline]
     pub fn delay_cycles(&self, cycles: u64, ghz: f64) {
         self.delay_ns(cycles as f64 / ghz)
-    }
-
-    /// Calibrated spin-loop iterations per microsecond (diagnostic).
-    pub fn spins_per_us(&self) -> f64 {
-        self.spins_per_us
     }
 }
 
@@ -154,7 +172,7 @@ mod tests {
     #[test]
     fn calibration_is_positive() {
         let c = SpinClock::calibrate();
-        assert!(c.spins_per_us() > 0.0);
+        assert!(c.base_ns > 0.0 && c.call_ns >= 0.0 && c.spin_ns > 0.0, "{c:?}");
     }
 
     #[test]
@@ -171,21 +189,32 @@ mod tests {
 
     #[test]
     fn carried_fraction_makes_the_mean_exact() {
-        // The jmpp delta at a calibration of 50 spins/µs: 0.92 spins per
-        // call. Truncation issued none; the carry issues 92 per 100 calls.
-        let want = 50.0 * 18.4 / 1000.0;
-        let (mut carry, mut issued) = (0.0, 0u64);
-        for _ in 0..10_000 {
-            let (spins, rest) = spins_with_carry(want, carry);
-            assert!(spins <= 1 && (0.0..1.0).contains(&rest));
-            issued += spins;
-            carry = rest;
+        // Every call costs 5 ns, and one that spins 20 ns more plus 13 ns
+        // per spin. No single call can cost the jmpp delta's 18.4 ns, so
+        // about two calls in five spin once, and over 10k calls each
+        // delay is spent to within one call's cost.
+        let c = SpinClock { base_ns: 5.0, call_ns: 20.0, spin_ns: 13.0 };
+        for ns in [18.4, 160.0, 480.0] {
+            let (mut owed, mut spent) = (0.0, 0.0);
+            for _ in 0..10_000 {
+                let (spins, rest) = c.spins_for(owed, ns);
+                assert!((0.0..c.call_ns + c.spin_ns).contains(&rest), "carry {rest} unbounded");
+                spent += c.base_ns;
+                if spins > 0 {
+                    spent += c.call_ns + spins as f64 * c.spin_ns;
+                }
+                owed = rest;
+            }
+            let mean = spent / 10_000.0;
+            assert!((mean - ns).abs() * 10_000.0 < 40.0, "{ns} ns: mean {mean}");
         }
-        assert!(issued.abs_diff(9_200) <= 1, "issued {issued} spins for 10k calls");
-        // Above one spin per call the whole part is issued every time.
-        let (spins, rest) = spins_with_carry(2.5, 0.75);
-        assert_eq!(spins, 3);
-        assert!((rest - 0.25).abs() < 1e-12);
+        assert_eq!(c.spins_for(0.0, 18.4).0, 0, "one call cannot spend 18.4 ns");
+        // Past the cheapest spinning call, every whole spin is issued now.
+        let (spins, rest) = c.spins_for(0.0, 160.0);
+        assert_eq!(spins, 10);
+        assert!((rest - 5.0).abs() < 1e-9);
+        // A delay shorter than the call itself leaves nothing owed.
+        assert_eq!(c.spins_for(0.0, 2.0), (0, 0.0));
     }
 
     #[test]

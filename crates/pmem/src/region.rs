@@ -411,12 +411,12 @@ pub struct PmemRegion {
     tracker: Option<Tracker>,
     policy: Option<Arc<dyn AccessPolicy>>,
     stats: PmemStats,
-    /// Observer invoked after every [`fence`](Self::fence) with the running
-    /// fence count — the hook by which the file system's trace ring records
-    /// sfence boundaries without `pmem` depending on upper layers. Set once
-    /// per region (a `simulate_crash` image is a *new* region: re-install
-    /// at mount).
-    fence_hook: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
+    /// Observer invoked on the fencing thread after every
+    /// [`fence`](Self::fence) — the hook by which the file system's trace
+    /// ring records sfence boundaries without `pmem` depending on upper
+    /// layers. Set once per region (a `simulate_crash` image is a *new*
+    /// region: re-install at mount).
+    fence_hook: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Process-unique instance id keying this region's entries in the
     /// thread-local [`FenceScope`] registry (a `simulate_crash` image is a
     /// *new* region and gets a fresh id, so stale scope entries from a
@@ -637,7 +637,7 @@ impl PmemRegion {
     #[inline]
     pub fn read<T: Pod>(&self, p: PPtr) -> T {
         self.guard(p, size_of::<T>(), false);
-        self.stats.bytes_read.fetch_add(size_of::<T>() as u64, Ordering::Relaxed);
+        self.stats.bytes_read.add(size_of::<T>() as u64);
         // SAFETY: bounds checked; T is Pod so any bit pattern is valid.
         unsafe { std::ptr::read_unaligned(self.base.add(p.off() as usize) as *const T) }
     }
@@ -647,7 +647,7 @@ impl PmemRegion {
     #[inline]
     pub fn write<T: Pod>(&self, p: PPtr, val: T) {
         self.guard(p, size_of::<T>(), true);
-        self.stats.bytes_written.fetch_add(size_of::<T>() as u64, Ordering::Relaxed);
+        self.stats.bytes_written.add(size_of::<T>() as u64);
         // SAFETY: bounds checked.
         unsafe { std::ptr::write_unaligned(self.base.add(p.off() as usize) as *mut T, val) };
         if let Some(t) = &self.tracker {
@@ -659,7 +659,7 @@ impl PmemRegion {
     #[inline]
     pub fn read_into(&self, p: PPtr, buf: &mut [u8]) {
         self.guard(p, buf.len(), false);
-        self.stats.bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.stats.bytes_read.add(buf.len() as u64);
         // SAFETY: bounds checked; regions never overlap a caller's buffer.
         unsafe {
             std::ptr::copy_nonoverlapping(self.base.add(p.off() as usize), buf.as_mut_ptr(), buf.len())
@@ -670,7 +670,7 @@ impl PmemRegion {
     #[inline]
     pub fn write_from(&self, p: PPtr, buf: &[u8]) {
         self.guard(p, buf.len(), true);
-        self.stats.bytes_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.stats.bytes_written.add(buf.len() as u64);
         // SAFETY: bounds checked.
         unsafe {
             std::ptr::copy_nonoverlapping(buf.as_ptr(), self.base.add(p.off() as usize), buf.len())
@@ -687,7 +687,7 @@ impl PmemRegion {
     #[inline]
     pub fn nt_write_from(&self, p: PPtr, buf: &[u8]) {
         self.guard(p, buf.len(), true);
-        self.stats.bytes_nt_written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.stats.bytes_nt_written.add(buf.len() as u64);
         // SAFETY: bounds checked.
         unsafe {
             std::ptr::copy_nonoverlapping(buf.as_ptr(), self.base.add(p.off() as usize), buf.len())
@@ -701,7 +701,7 @@ impl PmemRegion {
     /// Zeroes a byte range with regular stores.
     pub fn zero(&self, p: PPtr, len: usize) {
         self.guard(p, len, true);
-        self.stats.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
+        self.stats.bytes_written.add(len as u64);
         // SAFETY: bounds checked.
         unsafe { std::ptr::write_bytes(self.base.add(p.off() as usize), 0, len) };
         if let Some(t) = &self.tracker {
@@ -717,7 +717,7 @@ impl PmemRegion {
     pub fn flush(&self, p: PPtr, len: usize) {
         self.bounds(p, len.max(1));
         let lines = len.div_ceil(CACHE_LINE).max(1) as u64;
-        self.stats.flushed_lines.fetch_add(lines, Ordering::Relaxed);
+        self.stats.flushed_lines.add(lines);
         if let Some(t) = &self.tracker {
             t.stage(self.base, self.len, p.off() as usize, len);
         }
@@ -726,12 +726,14 @@ impl PmemRegion {
     /// Emulated `sfence`: all previously initiated write-backs (and
     /// non-temporal stores) become durable on the media image.
     ///
-    /// The running fence count (both the [`stats`](Self::stats) counter and
-    /// the tracker's `FaultPlan` boundary counter) is **per region instance**
+    /// The fence counts (the [`stats`](Self::stats) counter and the
+    /// tracker's `FaultPlan` boundary counter) are **per region instance**
     /// — i.e. per process, never in the shared mapping. Two mounts of the
     /// same region file therefore keep independent fault-plan accounting: a
     /// fence issued through one mapping is invisible to the other's counters,
-    /// exactly like per-CPU sfence retirement on real hardware.
+    /// exactly like per-CPU sfence retirement on real hardware. Only the
+    /// tracker's count is a running total that orders fences across threads;
+    /// the statistic is per thread (see [`crate::stats`]).
     /// With a [`FenceScope`] active on the calling thread, the `sfence` is
     /// *deferred* to the scope (counted in `fences_elided`, invisible to
     /// fault plans and the fence hook — no persistence boundary is crossed
@@ -740,7 +742,7 @@ impl PmemRegion {
     #[inline]
     pub fn fence(&self) {
         if self.defer_to_scope() {
-            self.stats.fences_elided.fetch_add(1, Ordering::Relaxed);
+            self.stats.fences_elided.add(1);
             return;
         }
         self.fence_now();
@@ -753,13 +755,13 @@ impl PmemRegion {
     /// already made durable.
     #[inline]
     pub fn fence_now(&self) {
-        let n = self.stats.count_fence();
+        self.stats.fences.add(1);
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         if let Some(t) = &self.tracker {
             t.fence();
         }
         if let Some(hook) = self.fence_hook.get() {
-            hook(n);
+            hook();
         }
         ACTIVE_SCOPES.with(|s| {
             if let Some(e) = s.borrow_mut().iter_mut().find(|e| e.region_id == self.id) {
@@ -800,9 +802,9 @@ impl PmemRegion {
     }
 
     /// Installs the fence observer (at most once per region; later calls
-    /// are ignored). Called with the running fence count after each
-    /// [`fence`](Self::fence).
-    pub fn set_fence_hook(&self, hook: Box<dyn Fn(u64) + Send + Sync>) {
+    /// are ignored). Called on the fencing thread after each
+    /// [`fence`](Self::fence) that is not deferred to a scope.
+    pub fn set_fence_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
         let _ = self.fence_hook.set(hook);
     }
 

@@ -216,7 +216,7 @@ fn acceptor<F: Served>(
                 // Ids are never reused within a u32 wrap; skipping 0
                 // keeps "no id" representable in diagnostics.
                 next_id = next_id.wrapping_add(1).max(1);
-                stats.connections.fetch_add(1, Ordering::Relaxed);
+                stats.connections.add(1);
                 let shard = id as usize % queues.len();
                 queues[shard].push((id, stream));
                 wake(&wakes[shard]);
@@ -287,7 +287,7 @@ fn shard_loop<F: Served>(
             .collect();
         for id in expired {
             let conn = conns.remove(&id).expect("conn present");
-            stats.idle_timeouts.fetch_add(1, Ordering::Relaxed);
+            stats.idle_timeouts.add(1);
             close_conn(fs, stats, epfd, conn);
         }
     }
@@ -306,10 +306,10 @@ fn close_conn<F: Served>(fs: &F, stats: &GatewayStats, epfd: RawFd, mut conn: Co
     let _ = sys::del(epfd, conn.stream.as_raw_fd());
     for fd in conn.fds.drain() {
         if fs.close(&conn.ctx, fd).is_ok() {
-            stats.fds_reaped.fetch_add(1, Ordering::Relaxed);
+            stats.fds_reaped.add(1);
         }
     }
-    stats.disconnects.fetch_add(1, Ordering::Relaxed);
+    stats.disconnects.add(1);
 }
 
 /// Drains the socket, decodes every complete frame, runs the burst, and
@@ -347,7 +347,7 @@ fn handle_readable<F: Served>(
         conn.last_rx = Instant::now();
     }
     if !process_input(fs, stats, cfg, conn) {
-        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        stats.protocol_errors.add(1);
         return false;
     }
     if eof {
@@ -415,10 +415,12 @@ fn run_burst<F: Served>(
     let limit = cfg.max_in_flight as u64;
     let mut slots: Vec<Result<Request, Response>> = Vec::with_capacity(requests.len());
     let mut admitted = 0u64;
+    // One reading per burst: the gauge is a sum over every thread's block.
+    let in_flight = stats.in_flight.load(Ordering::Relaxed);
     for req in requests {
-        let load = stats.in_flight.load(Ordering::Relaxed) + admitted;
+        let load = in_flight + admitted;
         if load >= limit {
-            stats.admission_rejections.fetch_add(1, Ordering::Relaxed);
+            stats.admission_rejections.add(1);
             slots.push(Err(Response::Busy {
                 in_flight: load.min(u32::MAX as u64) as u32,
                 limit: cfg.max_in_flight,
@@ -428,7 +430,7 @@ fn run_burst<F: Served>(
             slots.push(Ok(req));
         }
     }
-    stats.in_flight.fetch_add(admitted, Ordering::Relaxed);
+    stats.in_flight.add(admitted);
     let ctx = conn.ctx;
     let fds = &mut conn.fds;
     let replies: Vec<Response> = if admitted > 0 {
@@ -441,15 +443,15 @@ fn run_burst<F: Served>(
                 })
                 .collect()
         });
-        stats.flushes.fetch_add(1, Ordering::Relaxed);
+        stats.flushes.add(1);
         out
     } else {
         slots.into_iter().map(|slot| slot.expect_err("all rejected")).collect()
     };
-    stats.in_flight.fetch_sub(admitted, Ordering::Relaxed);
-    stats.ops.fetch_add(admitted, Ordering::Relaxed);
+    stats.in_flight.sub(admitted);
+    stats.ops.add(admitted);
     if admitted > 1 {
-        stats.batched_ops.fetch_add(admitted, Ordering::Relaxed);
+        stats.batched_ops.add(admitted);
     }
     for r in replies {
         push_reply_bytes(conn, &r.encode());

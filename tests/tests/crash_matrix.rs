@@ -28,6 +28,10 @@ fn assert_clean(m: &matrix::OpMatrix) {
         let want = if c.boundary < cp { RecoveredState::PreOp } else { RecoveredState::PostOp };
         assert_eq!(c.state, want, "{}: non-monotone at boundary {}", m.op, c.boundary);
     }
+    // The setup's parked allocator caches are drained before the cut, so
+    // a cut before the op's first fence leaves nothing to reclaim.
+    let first = m.cases.iter().find(|c| c.boundary == 0).expect("boundary 0 is always replayed");
+    assert_eq!(first.reclaimed, 0, "{}: boundary 0 reclaimed {} objects", m.op, first.reclaimed);
     assert_eq!(
         m.enospc.len() as u64,
         m.allocs,
@@ -90,8 +94,8 @@ fn unlink_midblock_full_matrix() {
     assert_clean(&m);
     assert!(!m.capped);
     assert_eq!(m.cases.len() as u64, m.boundaries + 1);
-    // Boundary 0 reclaims only what the setup left parked in allocator
-    // caches; every rolled-forward state also frees the emptied block.
+    // Boundary 0 reclaims nothing (see assert_clean); every rolled-forward
+    // state frees the emptied block.
     let anchor = m.cases[0].reclaimed;
     for c in m.cases.iter().filter(|c| c.state == RecoveredState::PostOp) {
         assert!(c.reclaimed > anchor, "boundary {}: the emptied block was not dropped", c.boundary);
