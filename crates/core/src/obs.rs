@@ -27,10 +27,10 @@
 //! Recording shares no cache line between threads. Every battery field and
 //! every histogram keeps one block per thread slot
 //! ([`simurgh_pmem::stats::PerThread`]), and each ring numbers its own
-//! events, so an op's histogram sample and its two trace events are plain
-//! stores to the calling thread's own lines (threads beyond the slots
-//! share one overflow block). The price is that events of different
-//! threads carry no common order.
+//! events, so an op's histogram sample and its two trace events write only
+//! the calling thread's own lines (threads beyond the slots share one
+//! overflow block). The price is that events of different threads carry
+//! no common order.
 //!
 //! The rings are global to the process (threads outlive file systems, and a
 //! steal event has no natural owner fs), so drains from concurrent tests
@@ -151,10 +151,10 @@ impl Histogram {
 
     /// Records one sample of `ns` nanoseconds.
     pub fn record(&self, ns: u64) {
-        let (block, w) = self.0.local();
-        w.add(&block.buckets[Self::bucket_of(ns)], 1);
-        w.max(&block.max_ns, ns);
-        w.add(&block.sum_ns, ns);
+        let block = self.0.local();
+        block.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        block.max_ns.fetch_max(ns, Ordering::Relaxed);
+        block.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Inclusive upper bound of bucket `i` in ns.

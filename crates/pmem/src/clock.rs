@@ -31,6 +31,10 @@ thread_local! {
 /// Spins per call of the calibration's long calls.
 const LONG_CALL_SPINS: u64 = 32;
 
+/// Interleaved calibration rounds, about 6 ms each on a 2-vCPU Xeon. Their
+/// median rides out the short stalls of a shared host.
+const ROUNDS: usize = 21;
+
 /// Clock frequency of the paper's evaluation machine (Xeon Gold 5212/5215).
 pub const PAPER_GHZ: f64 = 2.5;
 
@@ -49,8 +53,8 @@ impl SpinClock {
     /// Calibrates against `Instant` by timing delay calls that issue no
     /// spin, one spin and `LONG_CALL_SPINS` (32) spins each: the first is the
     /// cost of every call, the line through the other two gives the fixed
-    /// and the per-spin part. Each is the median of five interleaved rounds
-    /// of 100k spins. Takes about 40 ms; do it once and reuse (see
+    /// and the per-spin part. Each is the median of [`ROUNDS`] interleaved
+    /// rounds of 100k spins. Takes about 130 ms; do it once and reuse (see
     /// [`SpinClock::global`]).
     pub fn calibrate() -> Self {
         // Charging 1 ns per spin and nothing per call, `delay_ns(k)`
@@ -66,10 +70,10 @@ impl SpinClock {
             start.elapsed().as_secs_f64() * 1e9 / calls as f64
         };
         let mut rounds: Vec<[f64; 3]> =
-            (0..5).map(|_| [0, 1, LONG_CALL_SPINS].map(per_call_ns)).collect();
+            (0..ROUNDS).map(|_| [0, 1, LONG_CALL_SPINS].map(per_call_ns)).collect();
         let mut median = |i: usize| {
             rounds.sort_by(|a, b| a[i].total_cmp(&b[i]));
-            rounds[2][i]
+            rounds[ROUNDS / 2][i]
         };
         let (none, one, long) = (median(0), median(1), median(2));
         let spin_ns = ((long - one) / (LONG_CALL_SPINS - 1) as f64).max(0.1);

@@ -1,265 +1,16 @@
-//! Traffic statistics for an emulated NVMM region, the per-thread counter
-//! every statistic in the workspace is kept in, and the `counters!` macro
-//! every counter battery is declared with.
+//! Traffic statistics for an emulated NVMM region, and the `counters!`
+//! macro every counter battery in the workspace is declared with.
 //!
 //! Byte, flush and fence counters for every region access; the harness
 //! samples a [`StatsSnapshot`] before and after a phase and diffs it. The
 //! *data copy* share of the paper's Table 1 and Fig. 10 breakdowns does not
 //! come from these counters: it is the file system's `DataStats::copy_ns`.
 //!
-//! # One writer per cache line
-//!
-//! A statistic that every op bumps must not be one shared atomic: two
-//! threads bumping it bounce its line between their cores on every op, a
-//! central lock implemented in hardware. So each statistic is a
-//! [`PerThread`] value with one block per *thread slot*:
-//! - A thread takes one of [`SLOTS`] slots on its first write and hands it
-//!   back when it exits. Threads beyond `SLOTS` share one overflow slot.
-//! - A block is allocated on its slot's first write and is 128-byte
-//!   aligned, so no two slots share a line (or an adjacent-line prefetch
-//!   pair).
-//! - A slot's owner is the only writer of its blocks, so it bumps with a
-//!   relaxed load and store. The overflow blocks take `fetch_add`.
-//! - Blocks belong to the statistic, not to the thread: an exited thread's
-//!   counts stay, and the next owner of its slot adds on top of them.
-//! - A read sums the allocated blocks with wrapping adds, so a gauge may
-//!   rise on one thread and fall on another. It is exact once the writers
-//!   are quiescent.
+//! Every statistic is a per-thread [`Counter`] (see
+//! [`simurgh_perthread`]): a thread writes only cache lines of its own,
+//! and a read sums all threads.
 
-use std::cell::Cell;
-use std::fmt;
-use std::marker::PhantomData;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-
-/// Thread slots with blocks of their own; later threads share one more.
-pub const SLOTS: usize = 32;
-
-/// The slot shared by the threads beyond [`SLOTS`].
-const OVERFLOW: usize = SLOTS;
-
-const _: () = assert!(SLOTS >= 1 && SLOTS <= 64, "the free-slot map is one u64");
-
-/// Bit `i` is set while slot `i` has no owner.
-static FREE_SLOTS: AtomicU64 = AtomicU64::new(u64::MAX >> (64 - SLOTS));
-
-thread_local! {
-    /// The calling thread's slot; above [`OVERFLOW`] until its first write.
-    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Hands the slot back when the thread exits.
-    static RELEASE: SlotRelease = const { SlotRelease };
-}
-
-struct SlotRelease;
-
-impl Drop for SlotRelease {
-    fn drop(&mut self) {
-        // Writes from thread-local destructors that run after this one go
-        // to the overflow blocks.
-        let slot = SLOT.with(|s| s.replace(OVERFLOW));
-        if slot < SLOTS {
-            // Release: our last block writes happen before the next owner's.
-            FREE_SLOTS.fetch_or(1 << slot, Ordering::Release);
-        }
-    }
-}
-
-/// The calling thread's slot, taken on its first call.
-#[inline]
-fn my_slot() -> usize {
-    let slot = SLOT.get();
-    if slot <= OVERFLOW {
-        slot
-    } else {
-        take_slot()
-    }
-}
-
-#[cold]
-fn take_slot() -> usize {
-    let mut free = FREE_SLOTS.load(Ordering::Relaxed);
-    let mut slot = loop {
-        if free == 0 {
-            break OVERFLOW;
-        }
-        let lowest = free.trailing_zeros() as usize;
-        match FREE_SLOTS.compare_exchange_weak(
-            free,
-            free & !(1 << lowest),
-            Ordering::Acquire,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => break lowest,
-            Err(now) => free = now,
-        }
-    };
-    if slot < SLOTS && RELEASE.try_with(|_| ()).is_err() {
-        // The thread is past its own destructors: nothing would hand the
-        // slot back.
-        FREE_SLOTS.fetch_or(1 << slot, Ordering::Release);
-        slot = OVERFLOW;
-    }
-    SLOT.with(|s| s.set(slot));
-    slot
-}
-
-/// One slot's block. The alignment keeps every slot's writes on lines of
-/// its own.
-#[repr(align(128))]
-struct Block<T>(T);
-
-const _: () = assert!(std::mem::align_of::<Block<AtomicU64>>() >= 128);
-
-/// A value kept once per thread slot: the calling thread writes its own
-/// block through [`local`](Self::local), any thread reads them all
-/// through [`blocks`](Self::blocks). See the [module docs](self).
-pub struct PerThread<T> {
-    blocks: [AtomicPtr<Block<T>>; SLOTS + 1],
-    _owns: PhantomData<Box<T>>,
-}
-
-impl<T> PerThread<T> {
-    /// No blocks yet. A `const fn`, so a statistic can be a `static`.
-    pub const fn new() -> Self {
-        let blocks = [const { AtomicPtr::new(ptr::null_mut()) }; SLOTS + 1];
-        PerThread { blocks, _owns: PhantomData }
-    }
-
-    /// Every block allocated so far.
-    pub fn blocks(&self) -> impl Iterator<Item = &T> {
-        self.blocks.iter().filter_map(|b| {
-            // SAFETY: a non-null pointer is a block `alloc` published; it is
-            // freed only by `drop`, which `&self` excludes.
-            unsafe { b.load(Ordering::Acquire).as_ref() }.map(|b| &b.0)
-        })
-    }
-}
-
-impl<T: Default> PerThread<T> {
-    /// The calling thread's block, allocated on its slot's first write,
-    /// and the [`Writer`] to update it with.
-    #[inline]
-    pub fn local(&self) -> (&T, Writer) {
-        let slot = my_slot();
-        let p = self.blocks[slot].load(Ordering::Acquire);
-        let block = if p.is_null() {
-            self.alloc(slot)
-        } else {
-            // SAFETY: as in `blocks`.
-            unsafe { &*p }
-        };
-        (&block.0, Writer { shared: slot == OVERFLOW, _here: PhantomData })
-    }
-
-    #[cold]
-    fn alloc(&self, slot: usize) -> &Block<T> {
-        let fresh = Box::into_raw(Box::new(Block(T::default())));
-        match self.blocks[slot].compare_exchange(
-            ptr::null_mut(),
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            // SAFETY: published just now; freed only by `drop`.
-            Ok(_) => unsafe { &*fresh },
-            Err(won) => {
-                // Another overflow thread published first.
-                // SAFETY: `fresh` came from `Box::into_raw` and was never shared.
-                drop(unsafe { Box::from_raw(fresh) });
-                // SAFETY: `won` is live as in `blocks`.
-                unsafe { &*won }
-            }
-        }
-    }
-}
-
-impl<T> Default for PerThread<T> {
-    fn default() -> Self {
-        PerThread::new()
-    }
-}
-
-impl<T> Drop for PerThread<T> {
-    fn drop(&mut self) {
-        for b in &mut self.blocks {
-            let p = *b.get_mut();
-            if !p.is_null() {
-                // SAFETY: `alloc` made it with `Box::into_raw`; `&mut self`
-                // excludes every reader and writer.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
-/// How the calling thread writes the block [`PerThread::local`] returned:
-/// plain relaxed loads and stores when the thread owns the slot,
-/// read-modify-writes in the shared overflow block. Not `Send`: it is
-/// only valid on the thread that obtained it.
-#[derive(Clone, Copy)]
-pub struct Writer {
-    shared: bool,
-    _here: PhantomData<*const ()>,
-}
-
-impl Writer {
-    /// Adds `n` to `cell`, wrapping.
-    #[inline]
-    pub fn add(self, cell: &AtomicU64, n: u64) {
-        if self.shared {
-            cell.fetch_add(n, Ordering::Relaxed);
-        } else {
-            cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
-        }
-    }
-
-    /// Raises `cell` to `v` if `v` is larger.
-    #[inline]
-    pub fn max(self, cell: &AtomicU64, v: u64) {
-        if self.shared {
-            cell.fetch_max(v, Ordering::Relaxed);
-        } else if v > cell.load(Ordering::Relaxed) {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One statistic: a `u64` per thread slot, read as the wrapping sum of
-/// all of them.
-#[derive(Default)]
-pub struct Counter(PerThread<AtomicU64>);
-
-impl Counter {
-    /// A zero counter.
-    pub const fn new() -> Self {
-        Counter(PerThread::new())
-    }
-
-    /// Adds `n` on the calling thread's block.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        let (cell, w) = self.0.local();
-        w.add(cell, n);
-    }
-
-    /// Subtracts `n` on the calling thread's block (gauges: the sum wraps
-    /// back however the adds and subtracts are spread over threads).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        self.add(n.wrapping_neg());
-    }
-
-    /// The total over all threads, each block read with `order`.
-    pub fn load(&self, order: Ordering) -> u64 {
-        self.0.blocks().fold(0, |sum, cell| sum.wrapping_add(cell.load(order)))
-    }
-}
-
-impl fmt::Debug for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.load(Ordering::Relaxed).fmt(f)
-    }
-}
+pub use simurgh_perthread::{Counter, PerThread};
 
 /// Declares a counter battery: a struct of `pub` [`Counter`]s (with
 /// `Default`, a `const fn new()` and `snapshot()`) and its `Copy` snapshot
@@ -368,7 +119,6 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
     use std::thread;
 
     /// A battery can be a `static`: `new` is a `const fn`.
@@ -442,59 +192,5 @@ mod tests {
         let snap = S.snapshot();
         assert_eq!(snap.flushed_lines, THREADS * BUMPS);
         assert_eq!(snap.bytes_read, 3 * THREADS * BUMPS);
-    }
-
-    #[test]
-    fn an_exited_threads_counts_stay_and_its_slot_adds_on_top() {
-        let c = Counter::new();
-        let bump = |n| {
-            c.add(n);
-            my_slot()
-        };
-        let first = thread::scope(|s| s.spawn(|| bump(5)).join().unwrap());
-        assert_eq!(c.load(Ordering::Relaxed), 5, "the exited thread's count survives");
-        // A freed slot is the lowest free one, so the next thread to start
-        // takes it back unless a concurrently running test got there first.
-        for tries in 1..=100 {
-            let blocks = c.0.blocks().count();
-            let slot = thread::scope(|s| s.spawn(|| bump(1)).join().unwrap());
-            assert_eq!(c.load(Ordering::Relaxed), 5 + tries);
-            if slot == first {
-                assert_eq!(c.0.blocks().count(), blocks, "slot {slot} reuses its block");
-                return;
-            }
-        }
-        panic!("slot {first} was never handed out again");
-    }
-
-    #[test]
-    fn threads_beyond_the_slots_stay_exact_in_the_overflow_block() {
-        const EXTRA: usize = 8;
-        const BUMPS: u64 = 2_000;
-        let c = Counter::new();
-        let all_in = Barrier::new(SLOTS + EXTRA);
-        thread::scope(|scope| {
-            for _ in 0..SLOTS + EXTRA {
-                scope.spawn(|| {
-                    c.add(1);
-                    // Every thread holds its slot at once: at least EXTRA
-                    // of them share the overflow slot.
-                    all_in.wait();
-                    for _ in 1..BUMPS {
-                        c.add(1);
-                    }
-                });
-            }
-        });
-        assert!(!c.0.blocks[OVERFLOW].load(Ordering::Relaxed).is_null(), "overflow unused");
-        assert_eq!(c.load(Ordering::Relaxed), (SLOTS + EXTRA) as u64 * BUMPS);
-    }
-
-    #[test]
-    fn a_gauge_raised_on_one_thread_and_lowered_on_another_sums_to_zero() {
-        let g = Counter::new();
-        thread::scope(|s| s.spawn(|| g.add(7)).join().unwrap());
-        g.sub(7);
-        assert_eq!(g.load(Ordering::Relaxed), 0);
     }
 }
