@@ -8,8 +8,10 @@
 
 use simurgh_core::dir::DirStatsSnapshot;
 use simurgh_core::file::DataStatsSnapshot;
+use simurgh_core::obj::inode::{extblock, Inode};
 use simurgh_core::SimurghFs;
 use simurgh_fsapi::{FileMode, FileSystem, OpenFlags, ProcCtx};
+use simurgh_pmem::PPtr;
 use simurgh_tests::simurgh;
 
 const CTX: ProcCtx = ProcCtx::root(1);
@@ -247,6 +249,63 @@ fn contiguous_appends_extend_tail_in_place() {
         d.tail_extend_rate(),
         d.tail_extends,
         d.appends
+    );
+}
+
+/// Overflow extent blocks in the map of `path`.
+fn chain_blocks(fs: &SimurghFs, path: &str) -> u64 {
+    let ino = Inode(PPtr::new(fs.stat(&CTX, path).unwrap().ino));
+    let mut n = 0;
+    let mut blk = ino.ext_next(fs.region());
+    while !blk.is_null() {
+        n += 1;
+        blk = extblock::next(fs.region(), blk);
+    }
+    n
+}
+
+#[test]
+fn interleaved_appends_to_many_open_files_extend_in_place() {
+    // `data_aged`'s stream shape: one thread appends 4 KiB round-robin to
+    // 64 open files. Each file's next block must come from blocks parked
+    // after its own tail, not from wherever the previous stream's
+    // allocation left off.
+    const FILES: usize = 64;
+    const ROUNDS: u64 = 256;
+    let fs = simurgh(128 << 20);
+    let rw = OpenFlags { read: true, ..OpenFlags::CREATE };
+    let paths: Vec<String> = (0..FILES).map(|f| format!("/stream{f}")).collect();
+    let fds: Vec<_> = paths.iter().map(|p| fs.open(&CTX, p, rw, FileMode::default()).unwrap()).collect();
+    let free_before = fs.block_alloc().free_blocks();
+    let base = fs.data_stats();
+    let chunk = vec![0x5Au8; BLOCK as usize];
+    for r in 0..ROUNDS {
+        for &fd in &fds {
+            fs.pwrite(&CTX, fd, &chunk, r * BLOCK).unwrap();
+        }
+    }
+    let d = fs.data_stats().since(&base);
+    assert_eq!(d.appends, FILES as u64 * ROUNDS);
+    assert!(
+        d.tail_extend_rate() >= 0.9,
+        "interleaved tail-extend rate {:.3} ({} of {} appends)",
+        d.tail_extend_rate(),
+        d.tail_extends,
+        d.appends
+    );
+    let (files, extents) = fs.extent_census();
+    assert_eq!(files, FILES as u64);
+    assert!(extents < 2048, "{extents} extents for {FILES} interleaved streams");
+    for fd in fds {
+        fs.close(&CTX, fd).unwrap();
+    }
+    // Closing returns every parked block: what stays allocated is exactly
+    // the data plus the overflow blocks of the maps.
+    let chain: u64 = paths.iter().map(|p| chain_blocks(&fs, p)).sum();
+    assert_eq!(
+        free_before - fs.block_alloc().free_blocks(),
+        FILES as u64 * ROUNDS + chain,
+        "blocks still held after every file closed"
     );
 }
 
