@@ -13,11 +13,11 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::ThreadId;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use simurgh_pmem::layout::Extent;
+use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use super::tslock::{Acquired, TsGuard, TsLock};
@@ -26,11 +26,9 @@ use crate::BLOCK_SIZE;
 /// Default maximum lock-hold duration before a waiter presumes a crash.
 pub const DEFAULT_MAX_HOLD: Duration = Duration::from_millis(500);
 
-/// Default tail over-claim (in blocks) once reservations are enabled via
-/// [`BlockAlloc::set_tail_reserve`]: each tail extension claims up to this
-/// many extra blocks so the next appends land without a segment lock trip.
-pub const DEFAULT_TAIL_RESERVE: u64 = 8;
-
+/// Returns parked runs to the allocator under pressure; see
+/// [`BlockAlloc::set_reclaim_hook`].
+type ReclaimHook = Box<dyn Fn(&BlockAlloc) + Send + Sync>;
 
 struct Segment {
     lock: TsLock,
@@ -106,35 +104,30 @@ pub struct BlockAlloc {
     blocks_per_seg: u64,
     segments: Box<[Segment]>,
     max_hold: Duration,
-    /// Tail over-claim in blocks (see [`set_tail_reserve`](Self::set_tail_reserve)); 0 disables
-    /// reservations, keeping [`extend_at`](Self::extend_at) exact — the
-    /// default, and what the unit tests rely on.
-    tail_reserve: AtomicU64,
     /// Test-only stall injector: when nonzero, the next critical section
     /// parks for that many µs between deciding and publishing (one-shot),
     /// so tests can force a steal mid-section deterministically.
     stall_us: AtomicU64,
     /// Segment-lock round trips: critical sections entered on any segment
     /// (alloc, tail-extension, free). Exported through the `ObsRegistry`
-    /// alloc section; the reservation batching asserts this drops per op.
-    seg_trips: AtomicU64,
+    /// alloc section; the append reservations assert this drops per op.
+    seg_trips: Counter,
     /// Fragmentation-pressure events: the opportunistic allocation pass
-    /// came up empty even though `free_blocks()` could have covered the
-    /// request — capacity exists but not as a visible contiguous run. The
-    /// compactor's water-mark trigger watches this counter.
-    frag_pressure: AtomicU64,
+    /// came up empty even though `free_blocks()` plus the parked blocks
+    /// could have covered the request — capacity exists but not as a
+    /// visible contiguous run. The compactor's water-mark trigger watches
+    /// this counter.
+    frag_pressure: Counter,
+    /// Gauge of parked blocks: claimed from the free lists (and, under a
+    /// shared mount, in the bitmap) by an open file's append reservation
+    /// (`file::FileCursor`) but referenced by no extent yet.
+    parked: Counter,
+    /// Returns every parked run to the free lists; installed by the mount,
+    /// called by [`alloc`](Self::alloc) under pressure.
+    reclaim: OnceLock<ReclaimHook>,
     /// Cross-process claim bitmap; unset for exclusive (single-process)
     /// mounts, where the local free lists are already authoritative.
     shared: OnceLock<SharedBits>,
-    /// Parked tail reservations, one per thread: `(thread, first block,
-    /// blocks)` runs already carved out of the free lists (and, under a
-    /// shared mount, claimed in the bitmap). Instance-owned so that
-    /// [`free`](Self::free) can coalesce a freed run across a reservation
-    /// boundary and allocation pressure can reclaim *any* thread's park —
-    /// not just the calling thread's. Volatile by design: a crash loses the
-    /// cache and the mark-and-sweep rebuild returns unreferenced blocks to
-    /// the free lists.
-    reserved: Mutex<Vec<(ThreadId, u64, u64)>>,
 }
 
 impl BlockAlloc {
@@ -183,23 +176,20 @@ impl BlockAlloc {
             blocks_per_seg,
             segments: segments.into_boxed_slice(),
             max_hold: DEFAULT_MAX_HOLD,
-            tail_reserve: AtomicU64::new(0),
             stall_us: AtomicU64::new(0),
-            seg_trips: AtomicU64::new(0),
-            frag_pressure: AtomicU64::new(0),
+            seg_trips: Counter::new(),
+            frag_pressure: Counter::new(),
+            parked: Counter::new(),
+            reclaim: OnceLock::new(),
             shared: OnceLock::new(),
-            reserved: Mutex::new(Vec::new()),
         }
     }
 
-    /// Enables (nonzero) or disables (zero) tail reservations: every
-    /// [`extend_at`](Self::extend_at) over-claims up to `blocks` extra
-    /// blocks into a per-thread cache that later extensions of the same
-    /// tail spend without touching a segment lock. The mount path turns
-    /// this on; allocator-level users that assert exact accounting leave
-    /// it off.
-    pub fn set_tail_reserve(&self, blocks: u64) {
-        self.tail_reserve.store(blocks, Ordering::Relaxed);
+    /// Installs the pressure hook: `hook` must return every parked run it
+    /// can reach (through [`free_parked`](Self::free_parked)). The mount
+    /// installs one that walks its open files; the first install wins.
+    pub fn set_reclaim_hook(&self, hook: impl Fn(&BlockAlloc) + Send + Sync + 'static) {
+        let _ = self.reclaim.set(Box::new(hook));
     }
 
     /// Segment-lock round trips so far (diagnostics / perf assertions).
@@ -301,38 +291,27 @@ impl BlockAlloc {
     /// segment (the file-system passes the inode pointer); busy segments
     /// are skipped, as in the paper.
     pub fn alloc(&self, hint: u64, count: u64) -> Option<PPtr> {
-        debug_assert!(count > 0);
-        let n = self.segments.len();
-        let start = (hint as usize) % n;
-        // Pass 1: opportunistic, skip busy segments. A lost lock (stolen
-        // mid-section by a waiter that presumed us crashed) is treated like
-        // a busy segment: discard and move on.
-        for i in 0..n {
-            let seg = &self.segments[(start + i) % n];
-            if let Some(guard) = seg.lock.try_acquire() {
-                self.seg_trips.fetch_add(1, Ordering::Relaxed);
-                let got = self.take_first_fit(seg, &guard, count);
-                drop(guard);
-                if let Ok(Some(b)) = got {
-                    return Some(self.block_ptr(b));
-                }
-            }
+        if let Some(p) = self.try_alloc(hint, count) {
+            return Some(p);
         }
-        // Pass 1 found nothing: allocation pressure. Parked tail
-        // reservations (any thread's) are capacity the free lists cannot
-        // see; reclaim them before the blocking pass so allocation only
-        // fails when space is truly out.
+        // Pass 1 found nothing: allocation pressure. Parked runs are
+        // capacity the free lists cannot see; return them before the
+        // blocking pass so allocation only fails when space is truly out.
         if self.free_blocks() + self.reserved_idle_blocks() >= count {
-            self.frag_pressure.fetch_add(1, Ordering::Relaxed);
+            self.frag_pressure.add(1);
         }
-        self.reclaim_reservations();
+        if let Some(reclaim) = self.reclaim.get() {
+            reclaim(self);
+        }
         // Pass 2: blocking, so allocation only fails when space is truly out.
         // A lost lock here retries the same segment under a fresh acquire.
+        let n = self.segments.len();
+        let start = (hint as usize) % n;
         for i in 0..n {
             let seg = &self.segments[(start + i) % n];
             let got = loop {
                 let (guard, how) = seg.lock.acquire(self.max_hold);
-                self.seg_trips.fetch_add(1, Ordering::Relaxed);
+                self.seg_trips.add(1);
                 if how == Acquired::Stolen {
                     self.repair(seg);
                 }
@@ -350,6 +329,28 @@ impl BlockAlloc {
         None
     }
 
+    /// The opportunistic pass of [`alloc`](Self::alloc) alone: skips busy
+    /// segments and never returns parked runs, so a failure costs no one
+    /// else's reservation. A lost lock (stolen mid-section by a waiter that
+    /// presumed us crashed) is treated like a busy segment.
+    pub fn try_alloc(&self, hint: u64, count: u64) -> Option<PPtr> {
+        debug_assert!(count > 0);
+        let n = self.segments.len();
+        let start = (hint as usize) % n;
+        for i in 0..n {
+            let seg = &self.segments[(start + i) % n];
+            if let Some(guard) = seg.lock.try_acquire() {
+                self.seg_trips.add(1);
+                let got = self.take_first_fit(seg, &guard, count);
+                drop(guard);
+                if let Ok(Some(b)) = got {
+                    return Some(self.block_ptr(b));
+                }
+            }
+        }
+        None
+    }
+
     /// Segment owning the block at `p` (placement diagnostics and the
     /// file layer's per-thread affinity hint).
     pub fn seg_of_ptr(&self, p: PPtr) -> usize {
@@ -357,134 +358,13 @@ impl BlockAlloc {
     }
 
     /// Claims up to `want` blocks starting **exactly** at block index `b`:
-    /// the tail-extension entry point of the append fast path (§4.3). The
-    /// file layer asks for the blocks physically following a file's tail
-    /// extent so the extent map grows in place instead of gaining an entry.
-    /// Returns the number of blocks claimed (0 when `b` is taken), clamped
-    /// to the free run containing `b` and to the owning segment.
-    ///
-    /// With [`set_tail_reserve`](Self::set_tail_reserve) armed, a successful
-    /// extension over-claims and parks the surplus in a per-thread
-    /// reservation; the next `extend_at` whose `b` continues that run is
-    /// served from the reservation with **zero** segment-lock trips.
+    /// the tail-extension entry point of the append path (§4.3). The file
+    /// layer asks for the blocks physically following a file's tail extent
+    /// so the extent map grows in place instead of gaining an entry.
+    /// Returns the number of blocks claimed (0 when `b` is taken or its
+    /// segment is busy), clamped to the free run containing `b` and to the
+    /// owning segment. At most one segment-lock round trip.
     pub fn extend_at(&self, b: u64, want: u64) -> u64 {
-        debug_assert!(want > 0);
-        let got = self.take_reserved(b, want);
-        if got > 0 {
-            return got;
-        }
-        let reserve = self.tail_reserve.load(Ordering::Relaxed);
-        if reserve == 0 {
-            return self.extend_at_locked(b, want);
-        }
-        let claimed = self.extend_at_locked(b, want + reserve);
-        if claimed > want {
-            self.stash_reserved(b + want, claimed - want);
-            want
-        } else {
-            claimed
-        }
-    }
-
-    /// Spends up to `want` blocks at `b` from this thread's reservation.
-    /// A reservation whose run does not continue at `b` (the thread moved
-    /// to a different file tail) is returned to the free lists first.
-    fn take_reserved(&self, b: u64, want: u64) -> u64 {
-        let tid = std::thread::current().id();
-        let stale = {
-            let mut r = self.reserved.lock().unwrap();
-            let Some(i) = r.iter().position(|&(t, _, _)| t == tid) else {
-                return 0;
-            };
-            let (_, start, len) = r[i];
-            if start != b {
-                r.remove(i);
-                Some((start, len)) // freed below, outside the lock
-            } else {
-                let take = want.min(len);
-                if take == len {
-                    r.remove(i);
-                } else {
-                    r[i] = (tid, start + take, len - take);
-                }
-                return take;
-            }
-        };
-        if let Some((s, l)) = stale {
-            self.free(self.block_ptr(s), l);
-        }
-        0
-    }
-
-    /// Parks `[start, start + len)` as this thread's reservation, returning
-    /// any previous run of the same thread to the free lists.
-    fn stash_reserved(&self, start: u64, len: u64) {
-        let tid = std::thread::current().id();
-        let evicted = {
-            let mut r = self.reserved.lock().unwrap();
-            let old = r
-                .iter()
-                .position(|&(t, _, _)| t == tid)
-                .map(|i| r.remove(i))
-                .map(|(_, s, l)| (s, l));
-            r.push((tid, start, len));
-            old
-        };
-        if let Some((s, l)) = evicted {
-            self.free(self.block_ptr(s), l);
-        }
-    }
-
-    /// Returns this thread's parked reservation (if any) to the free lists —
-    /// diagnostics and tests that want exact accounting back.
-    pub fn release_thread_reservation(&self) {
-        let tid = std::thread::current().id();
-        let parked = {
-            let mut r = self.reserved.lock().unwrap();
-            r.iter()
-                .position(|&(t, _, _)| t == tid)
-                .map(|i| r.remove(i))
-                .map(|(_, s, l)| (s, l))
-        };
-        if let Some((s, l)) = parked {
-            self.free(self.block_ptr(s), l);
-        }
-    }
-
-    /// Returns **every** parked tail reservation — any thread's — to the
-    /// free lists, and reports how many blocks came back. The allocation
-    /// slow path calls this under pressure (opportunistic pass found
-    /// nothing), so a reservation parked by a thread that stopped appending
-    /// can never hold the last free run hostage. Also the quiesce point for
-    /// fragmentation accounting: after it, reserved-but-idle is zero.
-    pub fn reclaim_reservations(&self) -> u64 {
-        let drained: Vec<(u64, u64)> = {
-            let mut r = self.reserved.lock().unwrap();
-            r.drain(..).map(|(_, s, l)| (s, l)).collect()
-        };
-        let mut total = 0;
-        for (s, l) in drained {
-            total += l;
-            self.free(self.block_ptr(s), l);
-        }
-        total
-    }
-
-    /// Blocks currently parked in tail reservations: claimed (bitmap set,
-    /// carved out of the free lists) but not yet referenced by any extent.
-    /// The `FragStats` "reserved-but-idle" gauge.
-    pub fn reserved_idle_blocks(&self) -> u64 {
-        self.reserved.lock().unwrap().iter().map(|&(_, _, l)| l).sum()
-    }
-
-    /// Fragmentation-pressure events so far (see the field doc).
-    pub fn frag_pressure(&self) -> u64 {
-        self.frag_pressure.load(Ordering::Relaxed)
-    }
-
-    /// The locked tail-extension: one segment-lock round trip, exact-position
-    /// first-fit against the free run containing `b`.
-    fn extend_at_locked(&self, b: u64, want: u64) -> u64 {
         debug_assert!(want > 0);
         if b >= self.nblocks {
             return 0;
@@ -495,7 +375,7 @@ impl BlockAlloc {
             // rather than stalling the append on a neighbour's work.
             return 0;
         };
-        self.seg_trips.fetch_add(1, Ordering::Relaxed);
+        self.seg_trips.add(1);
         let free_ptr = seg.free.get();
         // Decide: read-only scan, no exclusive borrow across validation.
         let (idx, start, len) = {
@@ -519,8 +399,8 @@ impl BlockAlloc {
         self.test_stall();
         if !guard.still_owned() {
             // Stolen mid-section: the run we decided on is the thief's now.
-            // The append fast path simply falls back to the general
-            // allocator, like any other failed extension.
+            // The append path simply falls back to the general allocator,
+            // like any other failed extension.
             drop(guard);
             return 0;
         }
@@ -547,30 +427,45 @@ impl BlockAlloc {
         got
     }
 
+    /// Counts `n` claimed blocks into the parked gauge: an open file holds
+    /// them after its tail, and no extent references them yet.
+    pub fn note_parked(&self, n: u64) {
+        self.parked.add(n);
+    }
+
+    /// Takes `n` parked blocks out of the gauge as a file's map spends them.
+    pub fn note_spent(&self, n: u64) {
+        self.parked.sub(n);
+    }
+
+    /// Returns a parked run of `n` blocks at block index `b` to the free
+    /// lists.
+    pub fn free_parked(&self, b: u64, n: u64) {
+        self.parked.sub(n);
+        self.free(self.block_ptr(b), n);
+    }
+
+    /// Blocks parked in open files' append reservations: claimed (bitmap
+    /// set, carved out of the free lists) but referenced by no extent yet.
+    /// The `FragStats` "reserved-but-idle" gauge; exact when quiescent.
+    pub fn reserved_idle_blocks(&self) -> u64 {
+        self.parked.load(Ordering::Relaxed)
+    }
+
+    /// Fragmentation-pressure events so far (see the field doc).
+    pub fn frag_pressure(&self) -> u64 {
+        self.frag_pressure.load(Ordering::Relaxed)
+    }
+
     /// Frees `count` blocks starting at `p` back to their owning segment,
-    /// coalescing with neighbours — including any parked tail reservation
-    /// physically adjacent to the freed run, which is absorbed into it.
-    /// Without that absorption a reservation boundary splits the free run
-    /// forever (the reservation is invisible to the free list), which under
-    /// churn was the dominant fragmentation source.
+    /// coalescing with neighbours.
     pub fn free(&self, p: PPtr, count: u64) {
         debug_assert!(count > 0);
-        let mut b = self.ptr_block(p);
-        let mut count = count;
-        {
-            let mut r = self.reserved.lock().unwrap();
-            while let Some(i) = r.iter().position(|&(_, s, l)| {
-                (s + l == b || b + count == s) && self.seg_of_block(s) == self.seg_of_block(b)
-            }) {
-                let (_, s, l) = r.remove(i);
-                b = b.min(s);
-                count += l;
-            }
-        }
+        let b = self.ptr_block(p);
         let seg = &self.segments[self.seg_of_block(b)];
         loop {
             let (guard, how) = seg.lock.acquire(self.max_hold);
-            self.seg_trips.fetch_add(1, Ordering::Relaxed);
+            self.seg_trips.add(1);
             if how == Acquired::Stolen {
                 self.repair(seg);
             }
@@ -921,109 +816,31 @@ mod tests {
     }
 
     #[test]
-    fn tail_reserve_serves_followup_extensions_lock_free() {
-        let a = alloc_with(64 * 4096, 1);
-        a.set_tail_reserve(8);
-        let p = a.alloc(0, 2).unwrap();
-        let tail = a.ptr_block(p) + 2;
-        let trips = a.seg_trips();
-        // First extension: one locked trip, over-claims 8 extra.
-        assert_eq!(a.extend_at(tail, 2), 2);
-        assert_eq!(a.seg_trips(), trips + 1);
-        assert_eq!(a.free_blocks(), 64 - 2 - 2 - 8, "surplus parked in the reservation");
-        // The next 4 extensions continue the run: zero further trips.
-        for i in 0..4u64 {
-            assert_eq!(a.extend_at(tail + 2 + i * 2, 2), 2);
-        }
-        assert_eq!(a.seg_trips(), trips + 1, "reservation hits take no segment trip");
-        a.release_thread_reservation();
-        assert_eq!(a.free_blocks(), 64 - 2 - 2 - 8, "reservation was fully spent");
-    }
-
-    #[test]
-    fn stale_reservation_is_returned_not_leaked() {
-        let a = alloc_with(64 * 4096, 1);
-        a.set_tail_reserve(8);
-        let p = a.alloc(0, 1).unwrap();
-        let tail = a.ptr_block(p) + 1;
-        assert_eq!(a.extend_at(tail, 1), 1);
-        let parked = 8;
-        assert_eq!(a.free_blocks(), 64 - 1 - 1 - parked);
-        // Extending a *different* position first releases the stale run,
-        // so nothing is lost to the cache.
-        let far = tail + 30;
-        assert_eq!(a.extend_at(far, 1), 1);
-        a.release_thread_reservation();
-        assert_eq!(a.free_blocks(), 64 - 1 - 1 - 1);
-    }
-
-    #[test]
-    fn free_coalesces_across_a_reservation_boundary() {
-        // Regression: a parked tail reservation is invisible to the free
-        // list, so freeing blocks physically adjacent to it used to leave
-        // the run split forever — the dominant fragmentation source under
-        // churn. `free` must absorb the adjacent reservation so the whole
-        // range coalesces back into one run.
+    fn pressure_returns_parked_runs_through_the_reclaim_hook() {
+        // A run an open file parks after its tail is invisible to the free
+        // lists. When the opportunistic pass finds nothing, the hook must
+        // hand it back before the blocking pass, so allocation fails only
+        // when space is truly out.
         let a = alloc_with(16 * 4096, 1);
-        a.set_tail_reserve(8);
-        let p = a.alloc(0, 2).unwrap(); // blocks [0, 2)
-        let tail = a.ptr_block(p) + 2;
-        assert_eq!(a.extend_at(tail, 2), 2); // takes [2, 4), parks [4, 12)
-        assert_eq!(a.free_blocks(), 4, "only the tail run [12, 16) is listed free");
-        // Free the file [0, 4): adjacent to the parked [4, 12) — the
-        // reservation must be absorbed, yielding one fully coalesced run.
-        a.free(p, 4);
-        assert_eq!(a.free_blocks(), 16, "freed run absorbed the reservation");
-        assert_eq!(a.reserved_idle_blocks(), 0);
-        assert!(a.alloc(0, 16).is_some(), "entire extent is one contiguous run");
-    }
-
-    #[test]
-    fn pressure_reclaims_any_threads_parked_reservation() {
-        // Regression: a reservation parked by a thread that stopped
-        // appending was never returned until that same thread called
-        // `release_thread_reservation` — allocation could fail with most of
-        // the capacity parked. Pressure (pass 1 finding nothing) must
-        // reclaim every thread's park.
-        let a = std::sync::Arc::new(alloc_with(16 * 4096, 1));
-        a.set_tail_reserve(8);
-        {
-            let a = a.clone();
-            // Park from another thread, which then goes idle forever.
-            std::thread::spawn(move || {
-                let p = a.alloc(0, 1).unwrap(); // [0, 1)
-                let tail = a.ptr_block(p) + 1;
-                assert_eq!(a.extend_at(tail, 1), 1); // takes [1], parks [2, 10)
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(a.free_blocks(), 6, "free list only sees [10, 16)");
+        let p = a.alloc(0, 1).unwrap(); // [0, 1)
+        let run = a.ptr_block(p) + 1;
+        assert_eq!(a.extend_at(run, 8), 8); // [1, 9), parked
+        a.note_parked(8);
+        let parked = std::sync::Mutex::new(Some(run));
+        a.set_reclaim_hook(move |a| {
+            if let Some(b) = parked.lock().unwrap().take() {
+                a.free_parked(b, 8);
+            }
+        });
+        assert_eq!(a.free_blocks(), 7, "free list only sees [9, 16)");
         assert_eq!(a.reserved_idle_blocks(), 8);
-        // 14 contiguous blocks only exist if the park [2, 10) comes back.
-        let p = a.alloc(0, 14).expect("pressure reclaims the idle park");
-        assert_eq!(a.ptr_block(p), 2);
+        assert!(a.try_alloc(0, 14).is_none(), "the opportunistic pass leaves parks alone");
+        assert_eq!(a.reserved_idle_blocks(), 8);
+        // 14 contiguous blocks only exist if the park [1, 9) comes back.
+        let p = a.alloc(0, 14).expect("pressure returns the parked run");
+        assert_eq!(a.ptr_block(p), 1);
         assert_eq!(a.reserved_idle_blocks(), 0);
-    }
-
-    #[test]
-    fn reservations_are_instance_scoped() {
-        // A reservation parked against one allocator must never be spent
-        // against another covering the same extent.
-        let a = alloc_with(64 * 4096, 1);
-        a.set_tail_reserve(8);
-        let p = a.alloc(0, 1).unwrap();
-        let tail = a.ptr_block(p) + 1;
-        assert_eq!(a.extend_at(tail, 1), 1);
-        let b = alloc_with(64 * 4096, 1);
-        b.set_tail_reserve(8);
-        let trips = b.seg_trips();
-        // Same block index on the fresh allocator: must take a locked trip,
-        // not a's parked run.
-        assert_eq!(b.extend_at(tail + 1, 1), 1);
-        assert!(b.seg_trips() > trips);
-        a.release_thread_reservation();
-        b.release_thread_reservation();
+        assert_eq!(a.frag_pressure(), 1, "capacity was there, just parked");
     }
 
     #[test]

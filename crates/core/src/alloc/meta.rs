@@ -23,6 +23,7 @@ use std::sync::Arc;
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 use simurgh_fsapi::{FsError, FsResult};
+use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
 use super::blocks::BlockAlloc;
@@ -74,7 +75,7 @@ pub struct MetaAllocator {
     /// Round trips to the shared free stacks / grow path (the contended
     /// structures): one per [`refill`](Self::refill), not per alloc, so the
     /// group-commit tests can assert the k-fold amortization directly.
-    pool_trips: AtomicU64,
+    pool_trips: Counter,
 }
 
 impl MetaAllocator {
@@ -88,7 +89,7 @@ impl MetaAllocator {
             free: [SegQueue::new(), SegQueue::new(), SegQueue::new()],
             grow_lock: Mutex::new(()),
             faults: Arc::new(AllocFaults::default()),
-            pool_trips: AtomicU64::new(0),
+            pool_trips: Counter::new(),
         }
     }
 
@@ -156,7 +157,7 @@ impl MetaAllocator {
     fn refill(&self, kind: PoolKind) -> FsResult<Vec<u64>> {
         let claim = H_VALID | H_DIRTY | kind.tag().bits();
         loop {
-            self.pool_trips.fetch_add(1, Ordering::Relaxed);
+            self.pool_trips.add(1);
             let mut got = Vec::with_capacity(REFILL_SLOTS);
             while got.len() < REFILL_SLOTS {
                 let Some(off) = self.free[kind as usize].pop() else { break };

@@ -271,8 +271,8 @@ pub fn check(fs: &SimurghFs, quiescent: bool) -> CheckReport {
             blocks.reconcile_shared();
             blocks.shared_used_blocks()
         } {
-            // Parked tail reservations stay claimed in the bitmap, so they
-            // count as used, not free — no correction term needed.
+            // Open files' parked block runs stay claimed in the bitmap, so
+            // they count as used, not free — no correction term needed.
             let free = blocks.free_blocks();
             let cap = blocks.capacity_blocks();
             if free + used != cap {
@@ -385,6 +385,9 @@ mod tests {
         let chunk = vec![1u8; 4096];
         for i in 0..3u64 {
             fs.pwrite(&ctx, main, &chunk, i * 4096).unwrap();
+            // Return the run /f parked after its tail, so the decoy's next
+            // block can take that place and /f cannot extend in place.
+            fs.quiesce_thread_caches();
             fs.pwrite(&ctx, decoy, &chunk, i * 4096).unwrap();
         }
         let st = fs.fstat(&ctx, main).unwrap();
@@ -413,6 +416,9 @@ mod tests {
         let chunk = vec![1u8; 4096];
         for i in 0..3u64 {
             fs.pwrite(&ctx, main, &chunk, i * 4096).unwrap();
+            // Return the run /f parked after its tail, so the decoy's next
+            // block can take that place and /f cannot extend in place.
+            fs.quiesce_thread_caches();
             fs.pwrite(&ctx, decoy, &chunk, i * 4096).unwrap();
         }
         let st = fs.fstat(&ctx, main).unwrap();

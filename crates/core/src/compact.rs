@@ -232,6 +232,10 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
     if nblocks == 0 {
         return Ok(Reloc::Contiguous);
     }
+    // Blocks parked after the old tail would not follow the new one.
+    if let Some(c) = env.cursor {
+        c.return_parked(env.blocks);
+    }
     // 1. New home: one contiguous run, placed by the usual inode hint.
     let Some(dst) = env.blocks.alloc(ino.ptr().off() / 64, nblocks) else {
         stats.skipped_nospace.add(1);

@@ -13,11 +13,20 @@
 //! binary-search the mirror once and stream; `push_extent` updates the
 //! mirror incrementally; `truncate`/`free_all` invalidate it through a
 //! generation counter so concurrent openers and post-crash opens rebuild
-//! from the persistent map. Appends first ask the allocator for the blocks
-//! physically following the tail extent ([`crate::alloc::BlockAlloc::extend_at`]),
-//! which grows the tail in place instead of adding a map entry.
-//! [`DataStats`] counts walk steps, mirror hits and tail extensions so the
-//! O(1) claim is asserted by tests, not eyeballed.
+//! from the persistent map.
+//!
+//! Appends grow the tail extent in place instead of adding a map entry.
+//! The cursor also holds the open file's block reservation: a run parked
+//! right after the tail, which the next appends merge into the tail
+//! without a segment lock. A growth the run cannot cover claims the need
+//! plus a surplus that doubles per miss (0 on an open file's first growth,
+//! capped at 64 KiB), first at the tail
+//! ([`crate::alloc::BlockAlloc::extend_at`]) and otherwise as one fresh
+//! run, and parks the surplus after the data. The run goes back to the
+//! allocator on last close, truncate, relocation, unmount and allocation
+//! pressure; after a crash nothing references it and the mark-and-sweep
+//! frees it. [`DataStats`] counts walk steps, mirror hits and tail
+//! extensions so the O(1) claim is asserted by tests, not eyeballed.
 //!
 //! Each file has one reader/writer lock embedded in its inode — writes are
 //! exclusive, reads concurrent. The *relaxed* mode of Fig. 7k disables the
@@ -25,9 +34,10 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use simurgh_fsapi::{FsError, FsResult};
 use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
@@ -42,6 +52,9 @@ const WRITER: u64 = 1 << 63;
 /// Default lock-hold limit before a waiter presumes the holder crashed and
 /// resets the lock (the lock word is volatile state; see module docs).
 const DEFAULT_FILE_MAX_HOLD: Duration = Duration::from_millis(500);
+
+/// Largest run, in blocks, an open file parks after its tail (64 KiB).
+const PARK_CAP: u64 = 16;
 
 // ---------------------------------------------------------------------------
 // Probe accounting
@@ -118,10 +131,31 @@ impl DataStatsSnapshot {
 /// so every handle — including concurrent openers — rebuilds from the
 /// persistent map on next use. A post-crash open starts from a fresh
 /// cursor, so nothing volatile survives a crash.
+///
+/// The cursor also holds the file's [`Reservation`] under a lock of its
+/// own: relaxed-mode writers skip the file lock, and must not spend one
+/// run twice. That lock is never held across an allocator call, so the
+/// allocator's pressure hook may take it from inside `BlockAlloc::alloc`.
 #[derive(Default)]
 pub struct FileCursor {
     gen: AtomicU64,
     inner: RwLock<CursorInner>,
+    reserve: Mutex<Reservation>,
+}
+
+/// Blocks parked right after an open file's tail extent: claimed from the
+/// allocator (and counted in its parked gauge), referenced by no extent.
+#[derive(Default)]
+struct Reservation {
+    /// First parked block (allocator index) and the run's length.
+    first: u64,
+    blocks: u64,
+    /// Surplus to claim on the next miss: 0 on the open file's first
+    /// growth, then doubling per miss up to [`PARK_CAP`].
+    next: u64,
+    /// The allocator the run came from, so that dropping the cursor
+    /// returns it even when a write raced the last close.
+    alloc: Option<Arc<BlockAlloc>>,
 }
 
 #[derive(Default)]
@@ -170,6 +204,72 @@ impl FileCursor {
             g.rebuild(env.region, ino, gen);
         }
         f(&g)
+    }
+
+    /// Spends up to `want` parked blocks at block `tail` (the block after
+    /// the tail extent) and returns how many it took. A run that does not
+    /// start there — the map changed under it — goes back to the
+    /// allocator. When the run falls short the growth is a miss, and the
+    /// second value is the surplus to claim beyond the need.
+    fn take_parked(&self, blocks: &BlockAlloc, tail: Option<u64>, want: u64) -> (u64, u64) {
+        let mut r = self.reserve.lock();
+        let (mut got, mut stale) = (0, 0);
+        if tail == Some(r.first) {
+            got = want.min(r.blocks);
+            r.first += got;
+            r.blocks -= got;
+        } else {
+            stale = std::mem::take(&mut r.blocks);
+        }
+        let spare = if got < want {
+            let spare = r.next;
+            r.next = (2 * spare).clamp(1, PARK_CAP);
+            spare
+        } else {
+            0
+        };
+        let first = r.first;
+        drop(r);
+        if got > 0 {
+            blocks.note_spent(got);
+        }
+        if stale > 0 {
+            blocks.free_parked(first, stale);
+        }
+        (got, spare)
+    }
+
+    /// Parks `n` claimed blocks at block `b`, right after the tail extent.
+    /// A run already parked (a concurrent relaxed-mode grower's) goes back.
+    fn park(&self, blocks: &Arc<BlockAlloc>, b: u64, n: u64) {
+        blocks.note_parked(n);
+        let mut r = self.reserve.lock();
+        let old = (r.first, std::mem::replace(&mut r.blocks, n));
+        r.first = b;
+        r.alloc.get_or_insert_with(|| blocks.clone());
+        drop(r);
+        if old.1 > 0 {
+            blocks.free_parked(old.0, old.1);
+        }
+    }
+
+    /// Returns the parked run, if any, to `blocks`.
+    pub fn return_parked(&self, blocks: &BlockAlloc) {
+        let mut r = self.reserve.lock();
+        let (first, n) = (r.first, std::mem::take(&mut r.blocks));
+        drop(r);
+        if n > 0 {
+            blocks.free_parked(first, n);
+        }
+    }
+}
+
+impl Drop for FileCursor {
+    fn drop(&mut self) {
+        let r = self.reserve.get_mut();
+        if let Some(alloc) = r.alloc.as_ref().filter(|_| r.blocks > 0) {
+            alloc.free_parked(r.first, r.blocks);
+        }
     }
 }
 
@@ -223,7 +323,7 @@ impl CursorInner {
 #[derive(Clone, Copy)]
 pub struct FileEnv<'a> {
     pub region: &'a PmemRegion,
-    pub blocks: &'a BlockAlloc,
+    pub blocks: &'a Arc<BlockAlloc>,
     /// Skip the per-file write lock (paper's relaxed shared-file writes).
     pub relaxed: bool,
     pub max_hold: Duration,
@@ -236,7 +336,7 @@ pub struct FileEnv<'a> {
 }
 
 impl<'a> FileEnv<'a> {
-    pub fn new(region: &'a PmemRegion, blocks: &'a BlockAlloc) -> Self {
+    pub fn new(region: &'a PmemRegion, blocks: &'a Arc<BlockAlloc>) -> Self {
         FileEnv {
             region,
             blocks,
@@ -549,10 +649,41 @@ fn cursor_note_push(env: &FileEnv<'_>, merged: bool, chain_blk: Option<PPtr>, e:
     }
 }
 
+/// The append path's common case: `e` starts where the tail extent ends, and
+/// a fresh mirror says where that extent lives (the last inline slot in use,
+/// or the last entry of the tail overflow block), so it grows in place
+/// without scanning the persistent map. False leaves it to `push_extent`.
+fn cursor_merge_tail(env: &FileEnv<'_>, ino: Inode, e: Extent) -> bool {
+    let Some(c) = env.cursor else { return false };
+    let gen = c.gen.load(Ordering::Acquire);
+    let mut g = c.inner.write();
+    let Some(&(_, tail)) = g.map.last() else { return false };
+    if !g.valid || g.built_gen != gen || tail.start + tail.len != e.start {
+        return false;
+    }
+    let r = env.region;
+    let len = tail.len + e.len;
+    match g.tail_blk {
+        None => ino.set_extent(r, g.map.len() - 1, Extent { start: tail.start, len }),
+        // An empty tail block (a crash between its link and its first
+        // entry) holds no tail extent.
+        Some(blk) => match extblock::count(r, blk) {
+            0 => return false,
+            n => extblock::set_len(r, blk, n - 1, len),
+        },
+    }
+    g.map.last_mut().expect("tail extent").1.len = len;
+    g.allocated += e.len;
+    true
+}
+
 /// Appends an extent to the file's map, merging with the physical tail when
 /// contiguous. Allocates an overflow extent block on demand. Keeps the
 /// cursor mirror fresh in place.
 fn push_extent(env: &FileEnv<'_>, ino: Inode, e: Extent) -> FsResult<()> {
+    if cursor_merge_tail(env, ino, e) {
+        return Ok(());
+    }
     let r = env.region;
     // Inline slots first.
     for i in 0..INLINE_EXTENTS {
@@ -620,13 +751,14 @@ thread_local! {
     static SEG_AFFINITY: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
-/// General allocation with the per-thread segment-affinity hint.
-fn alloc_affine(env: &FileEnv<'_>, ino: Inode, count: u64) -> Option<PPtr> {
+/// General allocation with the per-thread segment-affinity hint. Without
+/// `wait` only the opportunistic pass runs ([`BlockAlloc::try_alloc`]).
+fn alloc_affine(env: &FileEnv<'_>, ino: Inode, count: u64, wait: bool) -> Option<PPtr> {
     let hint = match SEG_AFFINITY.get() {
         u64::MAX => ino.ptr().off() / 64,
         h => h,
     };
-    let p = env.blocks.alloc(hint, count)?;
+    let p = if wait { env.blocks.alloc(hint, count) } else { env.blocks.try_alloc(hint, count) }?;
     let seg = env.blocks.seg_of_ptr(p) as u64;
     if seg != hint % env.blocks.segments() as u64 {
         env.bump(|s| &s.seg_hops);
@@ -635,40 +767,74 @@ fn alloc_affine(env: &FileEnv<'_>, ino: Inode, count: u64) -> Option<PPtr> {
     Some(p)
 }
 
+/// Parks `n` surplus blocks at block `b` in the open file's reservation.
+fn park(env: &FileEnv<'_>, b: u64, n: u64) {
+    match env.cursor {
+        Some(c) if n > 0 => c.park(env.blocks, b, n),
+        _ => debug_assert_eq!(n, 0, "only an open file claims a surplus"),
+    }
+}
+
 /// Grows the allocation to at least `want` bytes (block-granular). Newly
 /// allocated space is *not* zeroed here; writers zero holes they skip.
 ///
-/// Append fast path: the blocks physically following the tail extent are
-/// claimed first (`extend_at`), which merges into the tail instead of
-/// adding a map entry; only the remainder, if any, goes through the
-/// general allocator.
+/// Append fast path: blocks the open file parked after its tail merge into
+/// the tail extent with no segment lock. On a miss the need plus the
+/// reservation's surplus is claimed, first right after the tail
+/// (`extend_at`, which also merges) and otherwise as one fresh run, and
+/// the surplus is parked after the data. Only what neither covers goes
+/// through the general allocator in halving chunks.
 pub fn ensure_allocated(env: &FileEnv<'_>, ino: Inode, want: u64) -> FsResult<()> {
     let (have, tail_end) = allocation_info(env, ino);
     if want <= have {
         return Ok(());
     }
     env.bump(|s| &s.appends);
+    let blocks = env.blocks;
     let mut need_blocks = (want - have).div_ceil(BLOCK_SIZE as u64);
-    if let Some(end) = tail_end {
+    let mut tail = tail_end.map(|end| blocks.ptr_block(end));
+    let (hit, mut spare) = match env.cursor {
+        Some(c) => c.take_parked(blocks, tail, need_blocks),
+        None => (0, 0),
+    };
+    let mut extended = hit > 0;
+    if let Some(t) = tail.filter(|_| hit > 0) {
+        push_extent(env, ino, Extent { start: blocks.block_ptr(t).off(), len: hit * BLOCK_SIZE as u64 })?;
+        need_blocks -= hit;
+        tail = Some(t + hit);
+    }
+    if let Some(t) = tail.filter(|_| need_blocks > 0) {
         env.check_fault("tail-extend")?;
-        let got = env.blocks.extend_at(env.blocks.ptr_block(end), need_blocks);
+        let got = blocks.extend_at(t, need_blocks + spare);
         if got > 0 {
-            env.bump(|s| &s.tail_extends);
-            push_extent(env, ino, Extent { start: end.off(), len: got * BLOCK_SIZE as u64 })?;
-            need_blocks -= got;
+            let data = got.min(need_blocks);
+            park(env, t + data, got - data);
+            push_extent(env, ino, Extent { start: blocks.block_ptr(t).off(), len: data * BLOCK_SIZE as u64 })?;
+            need_blocks -= data;
+            extended = true;
         }
+    }
+    if extended {
+        env.bump(|s| &s.tail_extends);
     }
     if need_blocks == 0 {
         return Ok(());
     }
     env.bump(|s| &s.alloc_fallbacks);
     // Allocate in as few contiguous chunks as the allocator can provide:
-    // try the whole run first, halve on failure.
+    // the need plus the surplus if the free lists show such a run without
+    // waiting, else the whole need, halving on failure.
     while need_blocks > 0 {
         env.check_fault("data-block-alloc")?;
         let mut chunk = need_blocks;
         let ptr = loop {
-            match alloc_affine(env, ino, chunk) {
+            if spare > 0 {
+                match alloc_affine(env, ino, chunk + spare, false) {
+                    Some(p) => break Some(p),
+                    None => spare = 0,
+                }
+            }
+            match alloc_affine(env, ino, chunk, true) {
                 Some(p) => break Some(p),
                 None if chunk > 1 => chunk = chunk.div_ceil(2),
                 None => break None,
@@ -677,6 +843,7 @@ pub fn ensure_allocated(env: &FileEnv<'_>, ino: Inode, want: u64) -> FsResult<()
         let Some(p) = ptr else {
             return Err(FsError::NoSpace);
         };
+        park(env, blocks.ptr_block(p) + chunk, std::mem::take(&mut spare));
         push_extent(env, ino, Extent { start: p.off(), len: chunk * BLOCK_SIZE as u64 })?;
         need_blocks -= chunk;
     }
@@ -810,6 +977,7 @@ pub fn truncate(env: &FileEnv<'_>, ino: Inode, len: u64) -> FsResult<()> {
 fn shrink_allocation(env: &FileEnv<'_>, ino: Inode, keep: u64) {
     if let Some(c) = env.cursor {
         c.invalidate();
+        c.return_parked(env.blocks);
     }
     let r = env.region;
     let keep_alloc = keep.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64;
@@ -873,6 +1041,7 @@ fn shrink_allocation(env: &FileEnv<'_>, ino: Inode, keep: u64) {
 pub fn free_all(env: &FileEnv<'_>, ino: Inode) {
     if let Some(c) = env.cursor {
         c.invalidate();
+        c.return_parked(env.blocks);
     }
     let r = env.region;
     let mut map: Vec<Extent> = Vec::new();
@@ -922,17 +1091,25 @@ mod tests {
         }
 
         fn inode(&self) -> Inode {
-            let ino = Inode(PPtr::new(4096));
+            self.inode_at(4096)
+        }
+
+        fn inode_at(&self, off: u64) -> Inode {
+            let ino = Inode(PPtr::new(off));
             ino.init(&self.region, FileMode::file(0o644), 0, 0, 1, 0);
             ino
         }
 
         /// Writes `n` 4-KB chunks, claiming the block physically after the
         /// tail between writes so the append fast path can never extend in
-        /// place: a file with exactly `n` extents.
+        /// place: a file with exactly `n` extents. The run an open file
+        /// parks after its tail goes back first, so the guard can take it.
         fn fragmented(&self, env: &FileEnv<'_>, ino: Inode, n: u64) {
             for i in 0..n {
                 write_at(env, ino, i * 4096, &[i as u8; 4096]).unwrap();
+                if let Some(c) = env.cursor {
+                    c.return_parked(&self.blocks);
+                }
                 let mut tail = 0u64;
                 for_each_extent(&self.region, ino, |_, e| tail = e.start + e.len);
                 let b = self.blocks.ptr_block(PPtr::new(tail));
@@ -1015,6 +1192,91 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         assert_eq!(read_at(&env, ino, 63 * 4096, &mut buf), 4096);
         assert!(buf.iter().all(|&b| b == 5));
+    }
+
+    #[test]
+    fn reservation_serves_interleaved_appends_without_segment_trips() {
+        // Two open files appended round-robin: each file's next blocks come
+        // from the run parked after its own tail. Once the surplus reaches
+        // its cap, one growth in 17 misses, and a miss takes two segment
+        // trips (a failed `extend_at`, then one allocation).
+        let fx = Fx::new(32 << 20);
+        let files = [(fx.inode_at(4096), FileCursor::new()), (fx.inode_at(8192), FileCursor::new())];
+        let env = |c| fx.env().with_stats(&fx.stats).with_cursor(c);
+        let mut round = 0u64;
+        let mut append_rounds = |n: u64| {
+            for _ in 0..n {
+                for (ino, c) in &files {
+                    write_at(&env(c), *ino, round * 4096, &[round as u8; 4096]).unwrap();
+                }
+                round += 1;
+            }
+        };
+        // Warm-up: the surplus grows 0, 1, 2, 4, 8, 16 over the first
+        // 21 growths of each file.
+        append_rounds(32);
+        let (trips, base) = (fx.blocks.seg_trips(), fx.stats.snapshot());
+        append_rounds(4 * 17);
+        let d = fx.stats.snapshot().since(&base);
+        assert_eq!(d.appends, 2 * 4 * 17);
+        assert_eq!(d.alloc_fallbacks, 2 * 4, "one miss per 17 appends per file");
+        assert_eq!(d.appends - d.tail_extends, 2 * 4, "every hit merged into the tail");
+        assert!(fx.blocks.seg_trips() - trips <= 2 * 2 * 4, "only misses take segment trips");
+        assert!(fx.blocks.reserved_idle_blocks() <= 2 * PARK_CAP);
+        for (ino, c) in &files {
+            for i in [0, 31, round - 1] {
+                let mut buf = [0u8; 4096];
+                assert_eq!(read_at(&env(c), *ino, i * 4096, &mut buf), 4096);
+                assert!(buf.iter().all(|&b| b == i as u8), "block {i} intact");
+            }
+        }
+    }
+
+    #[test]
+    fn stale_reservation_is_returned_not_leaked() {
+        // A run stops following the tail when the map changes under the
+        // cursor; the next growth hands it back instead of spending it.
+        let fx = Fx::new(32 << 20);
+        let env = fx.env_cached();
+        let ino = fx.inode();
+        let free0 = fx.blocks.free_blocks();
+        write_at(&env, ino, 0, &[1u8; 4096]).unwrap();
+        write_at(&env, ino, 4096, &[2u8; 4096]).unwrap();
+        assert_eq!(fx.blocks.reserved_idle_blocks(), 1, "the second growth parks one block");
+        let tail = ino.extent(&fx.region, 0);
+        let parked = fx.blocks.ptr_block(PPtr::new(tail.start + tail.len));
+        // A writer without the cursor grows the map elsewhere.
+        write_at(&fx.env(), ino, 2 * 4096, &[3u8; 4096]).unwrap();
+        fx.cursor.invalidate();
+        write_at(&env, ino, 3 * 4096, &[4u8; 4096]).unwrap();
+        assert_eq!(fx.blocks.extend_at(parked, 1), 1, "the stale run is free again");
+        fx.blocks.free(fx.blocks.block_ptr(parked), 1);
+        assert_eq!(
+            free0 - fx.blocks.free_blocks(),
+            4 + fx.blocks.reserved_idle_blocks(),
+            "allocated = the four data blocks + what is parked now"
+        );
+    }
+
+    #[test]
+    fn free_all_coalesces_with_the_parked_run() {
+        // Freeing an open file returns the run parked after its tail too,
+        // so the file's blocks and the run coalesce back into one free run.
+        let fx = Fx::new(8 << 20);
+        let env = fx.env_cached();
+        let ino = fx.inode();
+        let before = fx.blocks.free_blocks();
+        for i in 0..8u64 {
+            write_at(&env, ino, i * 4096, &[i as u8; 4096]).unwrap();
+        }
+        assert!(fx.blocks.reserved_idle_blocks() > 0, "the appends parked a run");
+        free_all(&env, ino);
+        assert_eq!(fx.blocks.reserved_idle_blocks(), 0);
+        assert_eq!(fx.blocks.free_blocks(), before);
+        assert!(
+            fx.blocks.frag_snapshot().iter().all(|&(runs, _)| runs == 1),
+            "every segment is one free run again"
+        );
     }
 
     #[test]

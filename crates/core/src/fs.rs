@@ -99,6 +99,20 @@ struct OpenState {
 /// lock once per open/close; a single global mutex shows up at 2+ threads.
 const OPEN_SHARDS: usize = 16;
 
+/// The sharded open-state map. No block allocation happens under a shard
+/// lock, so the allocator's pressure hook may take one.
+type OpenStates = [Mutex<HashMap<u64, OpenState>>];
+
+/// Returns every open file's parked block run to `blocks`: the pressure
+/// hook of the mount's allocator, and the quiesce and unmount paths.
+fn return_parked_runs(states: &OpenStates, blocks: &BlockAlloc) {
+    for shard in states {
+        for s in shard.lock().values() {
+            s.cursor.return_parked(blocks);
+        }
+    }
+}
+
 /// The Simurgh file system.
 pub struct SimurghFs {
     region: Arc<PmemRegion>,
@@ -106,7 +120,7 @@ pub struct SimurghFs {
     meta: Arc<MetaAllocator>,
     root: Inode,
     opens: OpenTable<OpenFile>,
-    open_states: Vec<Mutex<HashMap<u64, OpenState>>>,
+    open_states: Arc<OpenStates>,
     clock: AtomicU64,
     cfg: SimurghConfig,
     sec: Security,
@@ -349,9 +363,17 @@ impl SimurghFs {
         } else {
             Security::disabled()
         };
-        // Mounted file systems run with the append-path tail reservation on
-        // (group commit); raw-allocator users keep the exact default.
-        blocks.set_tail_reserve(crate::alloc::blocks::DEFAULT_TAIL_RESERVE);
+        let open_states: Arc<OpenStates> =
+            (0..OPEN_SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        // Under allocation pressure, open files' parked runs go back first.
+        // Weak: a cursor holding a parked run keeps the allocator alive, so
+        // a strong handle here would be a cycle.
+        let states = Arc::downgrade(&open_states);
+        blocks.set_reclaim_hook(move |b| {
+            if let Some(states) = states.upgrade() {
+                return_parked_runs(&states, b);
+            }
+        });
         Superblock::set_clean(&region, false);
         let fs = SimurghFs {
             region,
@@ -359,7 +381,7 @@ impl SimurghFs {
             meta,
             root,
             opens: OpenTable::new(),
-            open_states: (0..OPEN_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            open_states,
             clock: AtomicU64::new(2),
             cfg,
             sec,
@@ -386,10 +408,10 @@ impl SimurghFs {
     /// the last process out writes the clean flag — a `kill -9`'d peer
     /// never detaches, leaving the region unclean for the next recovery.
     pub fn unmount(self) {
-        // Un-claim this thread's parked refill slots and return its block
-        // reservation: a clean unmount must leave no allocated-but-
-        // unreachable objects behind. (Other threads' parked batches can't
-        // be reached from here; the next mount's sweep frees those.)
+        // Un-claim this thread's parked refill slots and return every open
+        // file's parked block run: a clean unmount must leave no allocated-
+        // but-unreachable objects behind. (Other threads' refill batches
+        // can't be reached from here; the next mount's sweep frees those.)
         self.quiesce_thread_caches();
         if self.shared_mode {
             if shared::detach(&self.region) {
@@ -425,13 +447,13 @@ impl SimurghFs {
         &self.meta
     }
 
-    /// Returns the calling thread's allocator caches — pre-claimed metadata
-    /// refill slots and the parked tail reservation — to the shared pools.
-    /// An orderly quiesce before handoff or a planned crash witness; caches
-    /// abandoned by `kill -9` are reclaimed by recovery instead.
+    /// Returns the calling thread's pre-claimed metadata refill slots and
+    /// every open file's parked block run to the shared pools. An orderly
+    /// quiesce before handoff or a planned crash witness; caches abandoned
+    /// by `kill -9` are reclaimed by recovery instead.
     pub fn quiesce_thread_caches(&self) {
         self.meta.drain_thread_cache();
-        self.blocks.release_thread_reservation();
+        return_parked_runs(&self.open_states, &self.blocks);
     }
 
     /// The mount's resource-fault injector: arms ENOSPC at the *k*-th
@@ -762,6 +784,9 @@ impl SimurghFs {
         self.open_state_shard(ino).lock().get(&ino.ptr().off()).map(|s| s.cursor.clone())
     }
 
+    /// Drops one open reference. The last one removes the open state; its
+    /// cursor goes with it, returning the file's parked block run (see the
+    /// cursor's `Drop`), before an orphan's blocks are freed.
     fn close_ref(&self, ino: Inode) {
         let mut states = self.open_state_shard(ino).lock();
         let Some(s) = states.get_mut(&ino.ptr().off()) else {
@@ -769,10 +794,9 @@ impl SimurghFs {
         };
         s.refs = s.refs.saturating_sub(1);
         if s.refs == 0 {
-            let orphaned = s.orphaned;
-            states.remove(&ino.ptr().off());
+            let last = states.remove(&ino.ptr().off());
             drop(states);
-            if orphaned {
+            if last.is_some_and(|s| s.orphaned) {
                 self.destroy_inode(ino);
             }
         }
@@ -916,8 +940,10 @@ impl FileSystem for SimurghFs {
 
     fn close(&self, ctx: &ProcCtx, fd: Fd) -> FsResult<()> {
         self.protected_op(RequestKind::Close, OpClass::Ctl, || {
-            let open = self.opens.remove(ctx.pid, fd)?;
-            self.close_ref(open.ino);
+            // Drop the descriptor's cursor handle first, so the open state
+            // holds the last one when `close_ref` drops it.
+            let ino = self.opens.remove(ctx.pid, fd)?.ino;
+            self.close_ref(ino);
             Ok(())
         })
     }
@@ -1414,6 +1440,71 @@ mod tests {
         })
         .unwrap();
         assert_eq!(fs.readdir(&ProcCtx::root(0), "/shared").unwrap().len(), 200);
+    }
+
+    #[test]
+    fn pressure_returns_open_files_parked_runs() {
+        // File A parks a run after its tail and every other free block is
+        // claimed outright: file B's append only fits if A's run comes
+        // back, which the allocator's pressure hook does before failing.
+        let (fs, ctx) = small_fs();
+        let rw = OpenFlags { read: true, ..OpenFlags::CREATE };
+        let a = fs.open(&ctx, "/a", rw, FileMode::default()).unwrap();
+        let b = fs.open(&ctx, "/b", rw, FileMode::default()).unwrap();
+        for i in 0..4u64 {
+            fs.pwrite(&ctx, a, &[0xa0; 4096], i * 4096).unwrap();
+        }
+        let blocks = fs.block_alloc();
+        let parked = blocks.reserved_idle_blocks();
+        assert!(parked > 0, "A's appends parked a run");
+        for hint in 0.. {
+            if blocks.free_blocks() == 0 {
+                break;
+            }
+            blocks.alloc(hint, 1).unwrap();
+        }
+        assert_eq!(blocks.reserved_idle_blocks(), parked);
+        fs.pwrite(&ctx, b, &[0xb0; 4096], 0).expect("B's append fits in A's returned run");
+        assert_eq!(blocks.reserved_idle_blocks(), 0);
+        let mut buf = [0u8; 4096];
+        assert_eq!(fs.pread(&ctx, b, &mut buf, 0).unwrap(), 4096);
+        assert!(buf.iter().all(|&x| x == 0xb0));
+        assert_eq!(fs.pread(&ctx, a, &mut buf, 3 * 4096).unwrap(), 4096);
+        assert!(buf.iter().all(|&x| x == 0xa0), "A's data untouched");
+        fs.close(&ctx, a).unwrap();
+        fs.close(&ctx, b).unwrap();
+    }
+
+    #[test]
+    fn quiesce_returns_every_open_files_parked_run() {
+        // Two threads leave growing files open and a third quiesces: every
+        // parked run comes back, so closing the files frees nothing more.
+        let (fs, _) = small_fs();
+        let open: Vec<(ProcCtx, Fd)> = std::thread::scope(|s| {
+            let grow = |t: u32| {
+                let fs = &fs;
+                move || {
+                    let ctx = ProcCtx::root(t + 1);
+                    let fd = fs.open(&ctx, &format!("/grow{t}"), OpenFlags::CREATE, FileMode::default());
+                    let fd = fd.unwrap();
+                    for i in 0..10u64 {
+                        fs.pwrite(&ctx, fd, &[t as u8; 4096], i * 4096).unwrap();
+                    }
+                    (ctx, fd)
+                }
+            };
+            let threads = [s.spawn(grow(0)), s.spawn(grow(1))];
+            threads.map(|h| h.join().unwrap()).into()
+        });
+        let blocks = fs.block_alloc();
+        assert!(blocks.reserved_idle_blocks() > 0, "both files parked runs");
+        std::thread::scope(|s| s.spawn(|| fs.quiesce_thread_caches()).join().unwrap());
+        assert_eq!(blocks.reserved_idle_blocks(), 0);
+        let quiesced = blocks.free_blocks();
+        for (ctx, fd) in open {
+            fs.close(&ctx, fd).unwrap();
+        }
+        assert_eq!(blocks.free_blocks(), quiesced, "closing found nothing left to return");
     }
 
     #[test]

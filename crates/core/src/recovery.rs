@@ -461,6 +461,9 @@ mod tests {
         for i in 0..3u64 {
             let pat = vec![0x10 + i as u8; 4096];
             fs.pwrite(&ctx, main, &pat, i * 4096).unwrap();
+            // Return the run /hole parked after its tail, so the decoy's
+            // next block can take that place.
+            fs.quiesce_thread_caches();
             fs.pwrite(&ctx, decoy, &pat, i * 4096).unwrap();
         }
         let st = fs.fstat(&ctx, main).unwrap();

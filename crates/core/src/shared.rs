@@ -52,7 +52,12 @@ use crate::BLOCK_SIZE;
 ///   by verify-on-use (an unknown line falls back to the chain walk).
 /// * `FileCursor` / `CursorInner` — extent-map mirror of one open file.
 ///   Built lazily from the persistent extent map on first use; generation
-///   bumps invalidate it, and a fresh process starts with no cursors.
+///   bumps invalidate it, and a fresh process starts with no cursors. The
+///   cursor also parks the file's block reservation: blocks claimed (in
+///   the bitmap, under a shared mount) but referenced by no extent. Only
+///   this process can spend them; it returns them on last close, truncate,
+///   relocation, unmount and allocation pressure, and after a crash the
+///   mark-and-sweep of the next exclusive mount frees them.
 /// * `OpenState` / `OpenFile` — sharded open-file table (`open_states`).
 ///   Strictly process-local bookkeeping (fds, positions, refcounts);
 ///   nothing on media references it, so a new process starts empty.

@@ -498,11 +498,11 @@ fn set_up(spec: &OpSpec, ctx: &ProcCtx) -> SimurghFs {
 /// fault plan.
 fn fresh(spec: &OpSpec, ctx: &ProcCtx) -> SimurghFs {
     let fs = set_up(spec, ctx);
-    // The per-thread refill cache and tail reservation are claimed-but-
-    // unreachable *by design* (bounded, reclaimed by any recovery — the
-    // group-commit tests assert that separately). Draining them before any
-    // fault plan is armed makes the un-claims durable, so a cut at
-    // boundary 0 leaves nothing to reclaim.
+    // The per-thread refill cache and open files' parked block runs are
+    // claimed-but-unreachable *by design* (bounded, reclaimed by any
+    // recovery — the group-commit tests assert that separately). Draining
+    // them before any fault plan is armed makes the un-claims durable, so
+    // a cut at boundary 0 leaves nothing to reclaim.
     fs.quiesce_thread_caches();
     fs
 }

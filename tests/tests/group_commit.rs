@@ -69,7 +69,7 @@ fn per_op_costs_beat_the_pinned_baseline() {
         fences_then += base_f;
     }
     // Aggregate across the whole scripted mix: ≥ 30% fewer sfence
-    // boundaries (currently ~44%).
+    // boundaries (currently 50%).
     assert!(
         fences_now * 10 <= fences_then * 7,
         "aggregate fences {fences_now} vs baseline {fences_then}: win under 30%"
@@ -159,7 +159,7 @@ fn append_storm_amortizes_segment_lock_trips() {
     fs.close(&root, fd).unwrap();
 
     // The pinned baseline paid 2 segment-lock trips per appended block;
-    // the per-thread tail reservation must cut the storm total by ≥ 50%.
+    // the per-inode block reservation must cut the storm total by ≥ 50%.
     let (base_f, _, base_s) = baseline("append");
     assert!(
         trips * 2 <= APPENDS * base_s,

@@ -177,16 +177,22 @@ const BLOCK: u64 = 4096;
 /// extents by interleaving appends with a decoy file: every allocation for
 /// the decoy claims the block right after the main file's tail, so the
 /// tail-extend fast path is blocked and each append lands in its own extent.
+/// Each append is the first growth of a fresh open, which parks no blocks
+/// after the tail for the other file's next block to miss.
 fn fragmented(fs: &SimurghFs, tag: &str, extents: usize) -> simurgh_fsapi::Fd {
-    let rw = OpenFlags { read: true, ..OpenFlags::CREATE };
-    let main = fs.open(&CTX, &format!("/frag{tag}"), rw, FileMode::default()).unwrap();
-    let decoy = fs.open(&CTX, &format!("/decoy{tag}"), OpenFlags::CREATE, FileMode::default()).unwrap();
+    let paths = [format!("/frag{tag}"), format!("/decoy{tag}")];
     let chunk = vec![0xC3u8; BLOCK as usize];
     for i in 0..extents as u64 {
-        fs.pwrite(&CTX, main, &chunk, i * BLOCK).unwrap();
-        fs.pwrite(&CTX, decoy, &chunk, i * BLOCK).unwrap();
+        for path in &paths {
+            let flags = if i == 0 { OpenFlags::CREATE } else { OpenFlags::WRONLY };
+            let fd = fs.open(&CTX, path, flags, FileMode::default()).unwrap();
+            fs.pwrite(&CTX, fd, &chunk, i * BLOCK).unwrap();
+            fs.close(&CTX, fd).unwrap();
+        }
     }
-    fs.close(&CTX, decoy).unwrap();
+    let main = fs.open(&CTX, &paths[0], OpenFlags::RDWR, FileMode::default()).unwrap();
+    // Build the new descriptor's extent mirror: the ops under test start warm.
+    fs.pread(&CTX, main, &mut [0u8; 1], 0).unwrap();
     main
 }
 
