@@ -7,10 +7,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use simurgh_core::obj::inode::Inode;
 use simurgh_core::{check, SimurghConfig, SimurghFs};
 use simurgh_crashlab::testing;
 use simurgh_fsapi::{FileMode, FileSystem, OpenFlags, ProcCtx};
-use simurgh_pmem::PmemRegion;
+use simurgh_pmem::{PPtr, PmemRegion};
 use simurgh_tests::simurgh;
 
 #[test]
@@ -320,5 +321,82 @@ fn minikv_under_concurrent_clients() {
                 "t{t}-k{i} lost"
             );
         }
+    }
+}
+
+/// Reader-count bits of the per-file lock word (the top bit is the writer).
+const LOCK_READERS: u64 = (1 << 63) - 1;
+
+/// Opens `/f` while `rival` waits for the file's write lock, reads through
+/// the new descriptor, lets the rival finish, then writes 4 KiB of 9s at
+/// offset 0 through that descriptor and closes it. A phantom reader (a
+/// bare count on the lock word) holds the rival off; the sleep only orders
+/// the steps, and it ends well within the lock's 500 ms hold limit, after
+/// which a writer presumes readers dead.
+fn write_through_a_descriptor_opened_behind(fs: &SimurghFs, rival: impl FnOnce() + Send) {
+    let root = ProcCtx::root(0);
+    let ino = Inode(PPtr::new(fs.stat(&root, "/f").unwrap().ino));
+    let lock = fs.region().atomic_u64(ino.lock_ptr());
+    lock.fetch_add(1, Ordering::AcqRel);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(rival);
+        std::thread::sleep(Duration::from_millis(50));
+        let fd = fs.open(&root, "/f", OpenFlags::RDWR, FileMode::default()).unwrap();
+        assert_eq!(fs.pread(&root, fd, &mut [0u8; 4096], 0).unwrap(), 4096);
+        let _ = lock.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
+            (v & LOCK_READERS != 0).then(|| v - 1)
+        });
+        waiter.join().unwrap();
+        fs.pwrite(&root, fd, &[9u8; 4096], 0).unwrap();
+        fs.close(&root, fd).unwrap();
+    });
+    let r = check::check(fs, true);
+    assert!(r.is_clean(), "fsck: {:?}", r.violations);
+}
+
+#[test]
+fn o_trunc_behind_a_new_descriptor_keeps_its_writes() {
+    // An O_TRUNC open waits for the file lock while a first descriptor
+    // opens and reads the old map. The truncate frees those blocks, so
+    // the descriptor's next write must see the truncated map, not land in
+    // freed blocks under a size the map no longer covers.
+    let fs = simurgh(32 << 20);
+    let root = ProcCtx::root(0);
+    fs.write_file(&root, "/f", &[1u8; 8192]).unwrap();
+    write_through_a_descriptor_opened_behind(&fs, || {
+        let ctx = ProcCtx::root(2);
+        let fd = fs.open(&ctx, "/f", OpenFlags::CREATE, FileMode::default()).unwrap();
+        fs.close(&ctx, fd).unwrap();
+    });
+    assert_eq!(fs.read_to_vec(&root, "/f").unwrap(), vec![9u8; 4096]);
+}
+
+#[test]
+fn compaction_behind_a_new_descriptor_keeps_its_writes() {
+    // The compactor waits for the file lock while a first descriptor
+    // opens and reads the old map. The relocation moves the bytes and
+    // frees the old blocks, so the descriptor's next write must land in
+    // the relocated map.
+    let fs = simurgh(32 << 20);
+    let root = ProcCtx::root(0);
+    // Appends alternating with a decoy's, each on a fresh open (which
+    // parks no run), leave `/f` one extent per block.
+    for i in 0..4u64 {
+        for p in ["/f", "/decoy"] {
+            let flags = if i == 0 { OpenFlags::CREATE } else { OpenFlags::WRONLY };
+            let fd = fs.open(&root, p, flags, FileMode::default()).unwrap();
+            fs.pwrite(&root, fd, &[i as u8 + 1; 4096], i * 4096).unwrap();
+            fs.close(&root, fd).unwrap();
+        }
+    }
+    write_through_a_descriptor_opened_behind(&fs, || {
+        let (moved, _) = fs.compact(8);
+        assert!(moved >= 1, "the compactor relocated /f");
+    });
+    let bytes = fs.read_to_vec(&root, "/f").unwrap();
+    let kept = bytes[..4096].iter().filter(|&&b| b == 9).count();
+    assert_eq!(kept, 4096, "{kept} of the 4096 bytes written read back");
+    for i in 1..4usize {
+        assert!(bytes[i * 4096..(i + 1) * 4096].iter().all(|&b| b == i as u8 + 1), "block {i}");
     }
 }
