@@ -209,9 +209,9 @@ pub enum Reloc {
 
 /// Relocates `ino`'s data onto one contiguous run, following the module's
 /// ordering invariant. The caller must hold the file's write lock (the
-/// compaction pass takes it per file) and pass an env whose cursor — if
-/// any — belongs to `ino`; the cursor generation is bumped on success so
-/// every open handle rebuilds its mirror from the relocated map.
+/// compaction pass takes it per file) and pass an env on `ino`'s shared
+/// cursor; the cursor generation is bumped on success so every user of the
+/// inode rebuilds its mirror from the relocated map.
 pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResult<Reloc> {
     let r = env.region;
     // Snapshot the old map and overflow chain before anything moves.
@@ -233,9 +233,7 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
         return Ok(Reloc::Contiguous);
     }
     // Blocks parked after the old tail would not follow the new one.
-    if let Some(c) = env.cursor {
-        c.return_parked(env.blocks);
-    }
+    env.cursor.return_parked(env.blocks);
     // 1. New home: one contiguous run, placed by the usual inode hint.
     let Some(dst) = env.blocks.alloc(ino.ptr().off() / 64, nblocks) else {
         stats.skipped_nospace.add(1);
@@ -282,10 +280,8 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
     for b in &chain {
         env.blocks.free(*b, 1);
     }
-    // Relocation restructured the map: every cursor mirror is stale.
-    if let Some(c) = env.cursor {
-        c.invalidate();
-    }
+    // Relocation restructured the map: the cursor's mirror is stale.
+    env.cursor.invalidate();
     stats.relocated_files.add(1);
     stats.relocated_blocks.add(nblocks);
     stats.extents_merged.add(map.len() as u64 - 1);
@@ -295,6 +291,8 @@ pub fn relocate_file(env: &FileEnv<'_>, ino: Inode, stats: &FragStats) -> FsResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::AllocFaults;
+    use crate::file::{DataStats, FileCursor};
     use crate::obj::H_VALID;
     use simurgh_fsapi::types::FileMode;
     use simurgh_pmem::layout::Extent as LExtent;
@@ -303,6 +301,9 @@ mod tests {
     struct Fx {
         region: Arc<PmemRegion>,
         blocks: Arc<BlockAlloc>,
+        stats: DataStats,
+        faults: AllocFaults,
+        cursor: FileCursor,
     }
 
     fn fixture(bytes: usize) -> Fx {
@@ -312,12 +313,14 @@ mod tests {
             LExtent { start: PPtr::new(64 * 1024), len: bytes as u64 - 64 * 1024 },
             1,
         ));
-        Fx { region, blocks }
+        let (stats, faults, cursor) = Default::default();
+        Fx { region, blocks, stats, faults, cursor }
     }
 
     impl Fx {
+        /// Env on the fixture's one file, through its shared cursor.
         fn env(&self) -> FileEnv<'_> {
-            FileEnv::new(&self.region, &self.blocks)
+            FileEnv::new(&self.region, &self.blocks, &self.cursor, &self.stats, &self.faults)
         }
 
         /// Places an inode at a fixed metadata offset with a valid tagged
@@ -333,11 +336,13 @@ mod tests {
 
         /// Writes `n` 4-KB chunks, claiming the block after the tail
         /// between writes so the append fast path can never extend in
-        /// place: a file with exactly `n` extents.
+        /// place: a file with exactly `n` extents. The run the cursor
+        /// parks after the tail goes back first, so the guard can take it.
         fn fragmented(&self, env: &FileEnv<'_>, ino: Inode, n: u64) {
             for i in 0..n {
                 file::write_at(env, ino, i * BLOCK_SIZE as u64, &[i as u8; BLOCK_SIZE])
                     .unwrap();
+                env.cursor.return_parked(&self.blocks);
                 let mut tail = 0u64;
                 file::for_each_extent(&self.region, ino, |_, e| tail = e.start + e.len);
                 let b = self.blocks.ptr_block(PPtr::new(tail));

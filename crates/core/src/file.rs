@@ -6,20 +6,22 @@
 //! **before** the size field is updated, giving the paper's guarantee that
 //! "metadata updates occur after the data has been persisted".
 //!
-//! Steady-state reads, writes and appends are O(1) in the number of
-//! extents. Each open file carries a [`FileCursor`]: a volatile DRAM
-//! mirror of the persistent extent map (sorted `(logical_start, extent)`
-//! pairs plus the allocated size and the tail overflow block). Operations
-//! binary-search the mirror once and stream; `push_extent` updates the
-//! mirror incrementally; `truncate`/`free_all` invalidate it through a
-//! generation counter so concurrent openers and post-crash opens rebuild
-//! from the persistent map.
+//! The data path sees a file's extent map only through the inode's one
+//! [`FileCursor`]: a volatile DRAM mirror of the persistent map (sorted
+//! `(logical_start, extent)` pairs plus the allocated size and the tail
+//! overflow block), shared by every descriptor and every internal user of
+//! the inode. Reads, writes and appends binary-search the mirror once and
+//! stream, so they are O(1) in the number of extents. `push_extent` grows
+//! the map at the mirror's tail and updates the mirror in place; truncate
+//! and relocation bump a generation counter, so the next access rebuilds
+//! the mirror from the persistent map. A post-crash open starts from a
+//! fresh cursor.
 //!
 //! Appends grow the tail extent in place instead of adding a map entry.
-//! The cursor also holds the open file's block reservation: a run parked
+//! The cursor also holds the file's block reservation: a run parked
 //! right after the tail, which the next appends merge into the tail
 //! without a segment lock. A growth the run cannot cover claims the need
-//! plus a surplus that doubles per miss (0 on an open file's first growth,
+//! plus a surplus that doubles per miss (0 on a cursor's first growth,
 //! capped at 64 KiB), first at the tail
 //! ([`crate::alloc::BlockAlloc::extend_at`]) and otherwise as one fresh
 //! run, and parks the surplus after the data. The run goes back to the
@@ -37,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use simurgh_fsapi::{FsError, FsResult};
 use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
@@ -70,12 +72,12 @@ simurgh_pmem::counters! {
         reads,
         /// `write_at` calls.
         writes,
-        /// Extents examined while locating / streaming a byte range. With a
-        /// fresh cursor this is exactly the extents *touched* by the op; on the
-        /// fallback path it also counts every extent skipped to reach `off`.
+        /// Extents examined while streaming a byte range: exactly the
+        /// extents the op touches, since the mirror locates the first one by
+        /// binary search.
         walk_steps,
-        /// Full walks of the persistent extent map (cursor rebuilds plus every
-        /// cursor-less fallback locate).
+        /// Full walks of the persistent extent map. Every one is a cursor
+        /// rebuild, so this equals `cursor_rebuilds`.
         map_walks,
         /// Operations answered from a fresh cursor mirror.
         cursor_hits,
@@ -121,16 +123,15 @@ impl DataStatsSnapshot {
 // Extent cursor cache
 // ---------------------------------------------------------------------------
 
-/// Volatile DRAM mirror of one file's persistent extent map, shared by all
-/// handles on that open file (hung off the sharded open state in `fs`).
+/// Volatile DRAM mirror of one file's persistent extent map, shared by
+/// every user of the inode (hung off the sharded open state in `fs`).
 ///
 /// Coherence rule: the mirror is only trusted when `inner.built_gen`
 /// matches `gen`. Mutators that keep the mirror exact (`push_extent`)
 /// update it in place under the write half of `inner`; mutators that
-/// restructure the map (`truncate` shrink, `free_all`, O_TRUNC) bump `gen`
-/// so every handle — including concurrent openers — rebuilds from the
-/// persistent map on next use. A post-crash open starts from a fresh
-/// cursor, so nothing volatile survives a crash.
+/// restructure the map (`truncate` shrink, relocation) bump `gen` so the
+/// next access rebuilds from the persistent map. A post-crash open starts
+/// from a fresh cursor, so nothing volatile survives a crash.
 ///
 /// The cursor also holds the file's [`Reservation`] under a lock of its
 /// own: relaxed-mode writers skip the file lock, and must not spend one
@@ -150,8 +151,8 @@ struct Reservation {
     /// First parked block (allocator index) and the run's length.
     first: u64,
     blocks: u64,
-    /// Surplus to claim on the next miss: 0 on the open file's first
-    /// growth, then doubling per miss up to [`PARK_CAP`].
+    /// Surplus to claim on the next miss: 0 on the cursor's first growth,
+    /// then doubling per miss up to [`PARK_CAP`].
     next: u64,
     /// The allocator the run came from, so that dropping the cursor
     /// returns it even when a write raced the last close.
@@ -160,8 +161,8 @@ struct Reservation {
 
 #[derive(Default)]
 struct CursorInner {
-    valid: bool,
-    built_gen: u64,
+    /// Generation the mirror was built at; `None` before the first build.
+    built_gen: Option<u64>,
     /// `(logical_start, extent)`, sorted by logical start.
     map: Vec<(u64, Extent)>,
     /// Total allocated bytes (== logical end of the last extent).
@@ -176,7 +177,7 @@ impl FileCursor {
         Self::default()
     }
 
-    /// Marks every handle's view stale; the next access rebuilds from the
+    /// Marks the mirror stale; the next access rebuilds it from the
     /// persistent map.
     pub fn invalidate(&self) {
         self.gen.fetch_add(1, Ordering::Release);
@@ -185,25 +186,37 @@ impl FileCursor {
     /// Runs `f` against a mirror guaranteed fresh at entry, rebuilding it
     /// first if a generation bump (or first use) made it stale.
     fn with_fresh<R>(&self, env: &FileEnv<'_>, ino: Inode, f: impl FnOnce(&CursorInner) -> R) -> R {
-        let gen = self.gen.load(Ordering::Acquire);
         {
             let g = self.inner.read();
-            if g.valid && g.built_gen == gen {
+            if g.built_gen == Some(self.gen.load(Ordering::Acquire)) {
                 env.bump(|s| &s.cursor_hits);
                 return f(&g);
             }
         }
-        let mut g = self.inner.write();
-        // Re-check under the write half: another handle may have rebuilt.
-        let gen = self.gen.load(Ordering::Acquire);
-        if g.valid && g.built_gen == gen {
+        let (g, hit) = self.write_fresh(env, ino);
+        if hit {
             env.bump(|s| &s.cursor_hits);
-        } else {
-            env.bump(|s| &s.cursor_rebuilds);
-            env.bump(|s| &s.map_walks);
-            g.rebuild(env.region, ino, gen);
         }
         f(&g)
+    }
+
+    /// The write half of the mirror, rebuilt from the persistent map first
+    /// if stale. The flag says whether it was fresh already (another user
+    /// may have rebuilt it while this one waited).
+    fn write_fresh(
+        &self,
+        env: &FileEnv<'_>,
+        ino: Inode,
+    ) -> (RwLockWriteGuard<'_, CursorInner>, bool) {
+        let mut g = self.inner.write();
+        let gen = self.gen.load(Ordering::Acquire);
+        if g.built_gen == Some(gen) {
+            return (g, true);
+        }
+        env.bump(|s| &s.cursor_rebuilds);
+        env.bump(|s| &s.map_walks);
+        g.rebuild(env.region, ino, gen);
+        (g, false)
     }
 
     /// Spends up to `want` parked blocks at block `tail` (the block after
@@ -241,7 +254,10 @@ impl FileCursor {
 
     /// Parks `n` claimed blocks at block `b`, right after the tail extent.
     /// A run already parked (a concurrent relaxed-mode grower's) goes back.
-    fn park(&self, blocks: &Arc<BlockAlloc>, b: u64, n: u64) {
+    fn park_surplus(&self, blocks: &Arc<BlockAlloc>, b: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         blocks.note_parked(n);
         let mut r = self.reserve.lock();
         let old = (r.first, std::mem::replace(&mut r.blocks, n));
@@ -310,8 +326,7 @@ impl CursorInner {
             }
         }
         self.allocated = logical;
-        self.built_gen = gen;
-        self.valid = true;
+        self.built_gen = Some(gen);
     }
 }
 
@@ -319,7 +334,7 @@ impl CursorInner {
 // Environment
 // ---------------------------------------------------------------------------
 
-/// Context for data-path operations.
+/// Context for data-path operations on one inode.
 #[derive(Clone, Copy)]
 pub struct FileEnv<'a> {
     pub region: &'a PmemRegion,
@@ -327,69 +342,39 @@ pub struct FileEnv<'a> {
     /// Skip the per-file write lock (paper's relaxed shared-file writes).
     pub relaxed: bool,
     pub max_hold: Duration,
-    /// Optional probe accounting (see [`DataStats`]).
-    pub stats: Option<&'a DataStats>,
-    /// Optional extent mirror of the file being operated on.
-    pub cursor: Option<&'a FileCursor>,
-    /// Optional resource-fault injector (crash-matrix ENOSPC testing).
-    pub faults: Option<&'a AllocFaults>,
+    /// The inode's shared extent mirror: the data path's only view of the
+    /// file's extent map.
+    pub cursor: &'a FileCursor,
+    /// Probe accounting (see [`DataStats`]).
+    pub stats: &'a DataStats,
+    /// Resource-fault injector (crash-matrix ENOSPC testing).
+    pub faults: &'a AllocFaults,
 }
 
 impl<'a> FileEnv<'a> {
-    pub fn new(region: &'a PmemRegion, blocks: &'a Arc<BlockAlloc>) -> Self {
-        FileEnv {
-            region,
-            blocks,
-            relaxed: false,
-            max_hold: DEFAULT_FILE_MAX_HOLD,
-            stats: None,
-            cursor: None,
-            faults: None,
-        }
-    }
-
-    /// Attaches probe accounting.
-    pub fn with_stats(mut self, stats: &'a DataStats) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// Attaches the mount's resource-fault injector.
-    pub fn with_faults(mut self, faults: &'a AllocFaults) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Consults the fault injector (if any) before a block allocation.
-    #[inline]
-    fn check_fault(&self, site: &'static str) -> FsResult<()> {
-        match self.faults {
-            Some(f) => f.check(site),
-            None => Ok(()),
-        }
-    }
-
-    /// Attaches the open file's extent mirror.
-    pub fn with_cursor(mut self, cursor: &'a FileCursor) -> Self {
-        self.cursor = Some(cursor);
-        self
+    pub fn new(
+        region: &'a PmemRegion,
+        blocks: &'a Arc<BlockAlloc>,
+        cursor: &'a FileCursor,
+        stats: &'a DataStats,
+        faults: &'a AllocFaults,
+    ) -> Self {
+        let (relaxed, max_hold) = (false, DEFAULT_FILE_MAX_HOLD);
+        FileEnv { region, blocks, relaxed, max_hold, cursor, stats, faults }
     }
 
     #[inline]
     fn bump(&self, counter: impl Fn(&DataStats) -> &Counter) {
-        if let Some(s) = self.stats {
-            counter(s).add(1);
-        }
+        counter(self.stats).add(1);
     }
 
     /// Runs the copy loop `f`, charging its duration to
-    /// [`DataStats::copy_ns`]. Without stats attached the clock is not read.
+    /// [`DataStats::copy_ns`].
     #[inline]
     fn time_copy<R>(&self, f: impl FnOnce() -> R) -> R {
-        let Some(s) = self.stats else { return f() };
         let start = Instant::now();
         let out = f();
-        s.copy_ns.add(start.elapsed().as_nanos() as u64);
+        self.stats.copy_ns.add(start.elapsed().as_nanos() as u64);
         out
     }
 }
@@ -519,228 +504,102 @@ pub fn for_each_extent(r: &PmemRegion, ino: Inode, mut f: impl FnMut(u64, Extent
 
 /// Streams `(pmem address, contiguous bytes)` runs covering the file from
 /// logical `off` onward, calling `f` for each run until it returns `false`
-/// or the allocated range ends. The start extent is located **once**
-/// (binary search in the cursor mirror when one is attached); subsequent
-/// extents continue from there without re-walking the map.
+/// or the allocated range ends. The start extent is located **once**, by
+/// binary search in the cursor mirror; subsequent extents continue from
+/// there without re-walking the map.
 fn stream_extents(env: &FileEnv<'_>, ino: Inode, off: u64, f: &mut impl FnMut(PPtr, u64) -> bool) {
-    let r = env.region;
-    if let Some(c) = env.cursor {
-        for attempt in 0..2u32 {
-            let cb = &mut *f;
-            let covered = c.with_fresh(env, ino, |g| {
-                if off >= g.allocated {
-                    return false;
-                }
-                // First extent whose logical start is <= off.
-                let idx = g.map.partition_point(|&(start, _)| start <= off) - 1;
-                let mut pos = off;
-                for &(start, e) in &g.map[idx..] {
-                    env.bump(|s| &s.walk_steps);
-                    let within = pos - start;
-                    if !cb(PPtr::new(e.start + within), e.len - within) {
-                        break;
-                    }
-                    pos = start + e.len;
-                }
-                true
-            });
-            if covered {
-                return;
-            }
-            if attempt == 0 {
-                // A relaxed-mode grower may have extended the map since the
-                // mirror was built; rebuild once before concluding the
-                // range is unallocated.
-                c.invalidate();
-            }
-        }
-        return;
-    }
-    // No cursor attached (symlinks, recovery, scaffolding): one manual walk
-    // of the persistent map — a single walk per *call*, not per chunk, but
-    // O(extents before `off`) in the locate step, which the counters show.
-    env.bump(|s| &s.map_walks);
-    let mut logical = 0u64;
-    let mut pos = off;
-    let mut visit = |e: Extent| {
-        env.bump(|s| &s.walk_steps);
-        let end = logical + e.len;
-        if pos < end {
-            let within = pos - logical;
-            if !f(PPtr::new(e.start + within), e.len - within) {
+    for attempt in 0..2u32 {
+        let cb = &mut *f;
+        let covered = env.cursor.with_fresh(env, ino, |g| {
+            if off >= g.allocated {
                 return false;
             }
-            pos = end;
-        }
-        logical = end;
-        true
-    };
-    for i in 0..INLINE_EXTENTS {
-        let e = ino.extent(r, i);
-        if e.is_empty() {
-            return;
-        }
-        if !visit(e) {
-            return;
-        }
-    }
-    let mut blk = ino.ext_next(r);
-    while !blk.is_null() {
-        let n = extblock::count(r, blk);
-        for i in 0..n {
-            if !visit(extblock::get(r, blk, i)) {
-                return;
+            // First extent whose logical start is <= off.
+            let idx = g.map.partition_point(|&(start, _)| start <= off) - 1;
+            let mut pos = off;
+            for &(start, e) in &g.map[idx..] {
+                env.bump(|s| &s.walk_steps);
+                let within = pos - start;
+                if !cb(PPtr::new(e.start + within), e.len - within) {
+                    break;
+                }
+                pos = start + e.len;
             }
-        }
-        blk = extblock::next(r, blk);
-    }
-}
-
-/// `(allocated bytes, physical end of the tail extent)` — from the cursor
-/// mirror when attached, else one walk of the persistent map.
-fn allocation_info(env: &FileEnv<'_>, ino: Inode) -> (u64, Option<PPtr>) {
-    if let Some(c) = env.cursor {
-        return c.with_fresh(env, ino, |g| {
-            (g.allocated, g.map.last().map(|&(_, e)| PPtr::new(e.start + e.len)))
+            true
         });
-    }
-    env.bump(|s| &s.map_walks);
-    let mut tail = None;
-    let allocated = for_each_extent(env.region, ino, |_, e| {
-        env.bump(|s| &s.walk_steps);
-        tail = Some(PPtr::new(e.start + e.len));
-    });
-    (allocated, tail)
-}
-
-/// Tail block of the overflow chain per the (fresh) mirror, so `push_extent`
-/// skips the chain walk. `None` means walk from the head.
-fn cursor_tail_blk(env: &FileEnv<'_>) -> Option<PPtr> {
-    let c = env.cursor?;
-    let gen = c.gen.load(Ordering::Acquire);
-    let g = c.inner.read();
-    if g.valid && g.built_gen == gen {
-        g.tail_blk
-    } else {
-        None
+        if covered || attempt == 1 {
+            return;
+        }
+        // A relaxed-mode grower may have extended the map since the mirror
+        // was built; rebuild once before concluding the range is
+        // unallocated.
+        env.cursor.invalidate();
     }
 }
 
-/// Mirrors a successful `push_extent` into the cursor, keeping it fresh
-/// without a rebuild. `merged` means the tail extent grew in place;
-/// `chain_blk` is the overflow block written (None for inline slots).
-fn cursor_note_push(env: &FileEnv<'_>, merged: bool, chain_blk: Option<PPtr>, e: Extent) {
-    let Some(c) = env.cursor else { return };
-    let gen = c.gen.load(Ordering::Acquire);
-    let mut g = c.inner.write();
-    if !g.valid || g.built_gen != gen {
-        return; // stale mirror: the next reader rebuilds anyway
-    }
-    if merged {
-        let last = g.map.last_mut().expect("merged push implies a tail extent");
-        last.1.len += e.len;
-    } else {
-        let logical = g.allocated;
-        g.map.push((logical, e));
-    }
-    g.allocated += e.len;
-    if chain_blk.is_some() {
-        g.tail_blk = chain_blk;
-    }
+/// `(allocated bytes, physical end of the tail extent)` per the mirror.
+fn allocation_info(env: &FileEnv<'_>, ino: Inode) -> (u64, Option<PPtr>) {
+    env.cursor.with_fresh(env, ino, |g| {
+        (g.allocated, g.map.last().map(|&(_, e)| PPtr::new(e.start + e.len)))
+    })
 }
 
-/// The append path's common case: `e` starts where the tail extent ends, and
-/// a fresh mirror says where that extent lives (the last inline slot in use,
-/// or the last entry of the tail overflow block), so it grows in place
-/// without scanning the persistent map. False leaves it to `push_extent`.
-fn cursor_merge_tail(env: &FileEnv<'_>, ino: Inode, e: Extent) -> bool {
-    let Some(c) = env.cursor else { return false };
-    let gen = c.gen.load(Ordering::Acquire);
-    let mut g = c.inner.write();
-    let Some(&(_, tail)) = g.map.last() else { return false };
-    if !g.valid || g.built_gen != gen || tail.start + tail.len != e.start {
-        return false;
-    }
-    let r = env.region;
-    let len = tail.len + e.len;
-    match g.tail_blk {
-        None => ino.set_extent(r, g.map.len() - 1, Extent { start: tail.start, len }),
-        // An empty tail block (a crash between its link and its first
-        // entry) holds no tail extent.
-        Some(blk) => match extblock::count(r, blk) {
-            0 => return false,
-            n => extblock::set_len(r, blk, n - 1, len),
-        },
-    }
-    g.map.last_mut().expect("tail extent").1.len = len;
-    g.allocated += e.len;
-    true
-}
-
-/// Appends an extent to the file's map, merging with the physical tail when
-/// contiguous. Allocates an overflow extent block on demand. Keeps the
-/// cursor mirror fresh in place.
+/// Appends an extent to the file's map at the tail the mirror records:
+/// the last inline slot in use, or the last entry of the tail overflow
+/// block. `e` grows the tail extent in place when it starts where that
+/// extent ends; otherwise it takes the next inline slot, the next entry of
+/// the tail block, or the first entry of a new overflow block, which is
+/// initialised before it is linked and linked before that entry is
+/// written. The mirror is updated in place under its write lock.
 fn push_extent(env: &FileEnv<'_>, ino: Inode, e: Extent) -> FsResult<()> {
-    if cursor_merge_tail(env, ino, e) {
-        return Ok(());
-    }
     let r = env.region;
-    // Inline slots first.
-    for i in 0..INLINE_EXTENTS {
-        let cur = ino.extent(r, i);
-        if cur.is_empty() {
-            ino.set_extent(r, i, e);
-            cursor_note_push(env, false, None, e);
+    let (mut g, _) = env.cursor.write_fresh(env, ino);
+    let n = g.map.len();
+    let tail = g.map.last().map(|&(_, t)| t).filter(|t| t.start + t.len == e.start);
+    if let Some(tail) = tail {
+        let len = tail.len + e.len;
+        let merged = match g.tail_blk {
+            None => {
+                ino.set_extent(r, n - 1, Extent { start: tail.start, len });
+                true
+            }
+            // An empty tail block (a crash between its link and its first
+            // entry) holds no tail extent: `e` becomes its first entry.
+            Some(blk) => match extblock::count(r, blk) {
+                0 => false,
+                c => {
+                    extblock::set_len(r, blk, c - 1, len);
+                    true
+                }
+            },
+        };
+        if merged {
+            g.map[n - 1].1.len = len;
+            g.allocated += e.len;
             return Ok(());
         }
-        if cur.start + cur.len == e.start {
-            let last_inline = i + 1 == INLINE_EXTENTS || ino.extent(r, i + 1).is_empty();
-            let overflow_empty = ino.ext_next(r).is_null();
-            if last_inline && overflow_empty {
-                ino.set_extent(r, i, Extent { start: cur.start, len: cur.len + e.len });
-                cursor_note_push(env, true, None, e);
-                return Ok(());
-            }
-        }
     }
-    // Overflow chain: start from the mirrored tail block when fresh, else
-    // walk from the head (cold path).
-    let mut blk = match cursor_tail_blk(env) {
-        Some(tail) => tail,
-        None => ino.ext_next(r),
-    };
-    if blk.is_null() {
-        env.check_fault("extent-block-alloc")?;
-        let nb = env.blocks.alloc(ino.ptr().off() / 64, 1).ok_or(FsError::NoSpace)?;
-        extblock::init(r, nb);
-        ino.set_ext_next(r, nb);
-        blk = nb;
-    }
-    loop {
-        let n = extblock::count(r, blk);
-        if n > 0 {
-            let last = extblock::get(r, blk, n - 1);
-            if last.start + last.len == e.start && extblock::next(r, blk).is_null() {
-                extblock::set_len(r, blk, n - 1, last.len + e.len);
-                cursor_note_push(env, true, Some(blk), e);
-                return Ok(());
-            }
-        }
-        if extblock::push(r, blk, e) {
-            cursor_note_push(env, false, Some(blk), e);
-            return Ok(());
-        }
-        let next = extblock::next(r, blk);
-        if next.is_null() {
-            env.check_fault("extent-block-alloc")?;
+    match g.tail_blk {
+        // The next inline slot, else the tail block's next entry.
+        None if n < INLINE_EXTENTS => ino.set_extent(r, n, e),
+        Some(blk) if extblock::push(r, blk, e) => {}
+        // Inline slots or tail block full: a new overflow block.
+        last_blk => {
+            env.faults.check("extent-block-alloc")?;
             let nb = env.blocks.alloc(ino.ptr().off() / 64, 1).ok_or(FsError::NoSpace)?;
             extblock::init(r, nb);
-            extblock::set_next(r, blk, nb);
-            blk = nb;
-        } else {
-            blk = next;
+            match last_blk {
+                None => ino.set_ext_next(r, nb),
+                Some(blk) => extblock::set_next(r, blk, nb),
+            }
+            extblock::push(r, nb, e);
+            g.tail_blk = Some(nb);
         }
     }
+    let logical = g.allocated;
+    g.map.push((logical, e));
+    g.allocated += e.len;
+    Ok(())
 }
 
 thread_local! {
@@ -767,19 +626,11 @@ fn alloc_affine(env: &FileEnv<'_>, ino: Inode, count: u64, wait: bool) -> Option
     Some(p)
 }
 
-/// Parks `n` surplus blocks at block `b` in the open file's reservation.
-fn park(env: &FileEnv<'_>, b: u64, n: u64) {
-    match env.cursor {
-        Some(c) if n > 0 => c.park(env.blocks, b, n),
-        _ => debug_assert_eq!(n, 0, "only an open file claims a surplus"),
-    }
-}
-
 /// Grows the allocation to at least `want` bytes (block-granular). Newly
 /// allocated space is *not* zeroed here; writers zero holes they skip.
 ///
-/// Append fast path: blocks the open file parked after its tail merge into
-/// the tail extent with no segment lock. On a miss the need plus the
+/// Append fast path: blocks the cursor parked after the file's tail merge
+/// into the tail extent with no segment lock. On a miss the need plus the
 /// reservation's surplus is claimed, first right after the tail
 /// (`extend_at`, which also merges) and otherwise as one fresh run, and
 /// the surplus is parked after the data. Only what neither covers goes
@@ -793,10 +644,7 @@ pub fn ensure_allocated(env: &FileEnv<'_>, ino: Inode, want: u64) -> FsResult<()
     let blocks = env.blocks;
     let mut need_blocks = (want - have).div_ceil(BLOCK_SIZE as u64);
     let mut tail = tail_end.map(|end| blocks.ptr_block(end));
-    let (hit, mut spare) = match env.cursor {
-        Some(c) => c.take_parked(blocks, tail, need_blocks),
-        None => (0, 0),
-    };
+    let (hit, mut spare) = env.cursor.take_parked(blocks, tail, need_blocks);
     let mut extended = hit > 0;
     if let Some(t) = tail.filter(|_| hit > 0) {
         push_extent(env, ino, Extent { start: blocks.block_ptr(t).off(), len: hit * BLOCK_SIZE as u64 })?;
@@ -804,11 +652,11 @@ pub fn ensure_allocated(env: &FileEnv<'_>, ino: Inode, want: u64) -> FsResult<()
         tail = Some(t + hit);
     }
     if let Some(t) = tail.filter(|_| need_blocks > 0) {
-        env.check_fault("tail-extend")?;
+        env.faults.check("tail-extend")?;
         let got = blocks.extend_at(t, need_blocks + spare);
         if got > 0 {
             let data = got.min(need_blocks);
-            park(env, t + data, got - data);
+            env.cursor.park_surplus(blocks, t + data, got - data);
             push_extent(env, ino, Extent { start: blocks.block_ptr(t).off(), len: data * BLOCK_SIZE as u64 })?;
             need_blocks -= data;
             extended = true;
@@ -825,7 +673,7 @@ pub fn ensure_allocated(env: &FileEnv<'_>, ino: Inode, want: u64) -> FsResult<()
     // the need plus the surplus if the free lists show such a run without
     // waiting, else the whole need, halving on failure.
     while need_blocks > 0 {
-        env.check_fault("data-block-alloc")?;
+        env.faults.check("data-block-alloc")?;
         let mut chunk = need_blocks;
         let ptr = loop {
             if spare > 0 {
@@ -843,7 +691,7 @@ pub fn ensure_allocated(env: &FileEnv<'_>, ino: Inode, want: u64) -> FsResult<()
         let Some(p) = ptr else {
             return Err(FsError::NoSpace);
         };
-        park(env, blocks.ptr_block(p) + chunk, std::mem::take(&mut spare));
+        env.cursor.park_surplus(blocks, blocks.ptr_block(p) + chunk, std::mem::take(&mut spare));
         push_extent(env, ino, Extent { start: p.off(), len: chunk * BLOCK_SIZE as u64 })?;
         need_blocks -= chunk;
     }
@@ -975,10 +823,8 @@ pub fn truncate(env: &FileEnv<'_>, ino: Inode, len: u64) -> FsResult<()> {
 /// anywhere in between leaks blocks at worst; it never leaves the map
 /// pointing at freed ones.
 fn shrink_allocation(env: &FileEnv<'_>, ino: Inode, keep: u64) {
-    if let Some(c) = env.cursor {
-        c.invalidate();
-        c.return_parked(env.blocks);
-    }
+    env.cursor.invalidate();
+    env.cursor.return_parked(env.blocks);
     let r = env.region;
     let keep_alloc = keep.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64;
     // Snapshot the current map and overflow chain.
@@ -1038,21 +884,18 @@ fn shrink_allocation(env: &FileEnv<'_>, ino: Inode, keep: u64) {
 }
 
 /// Frees all data and extent blocks of a file (unlink of the last link).
-pub fn free_all(env: &FileEnv<'_>, ino: Inode) {
-    if let Some(c) = env.cursor {
-        c.invalidate();
-        c.return_parked(env.blocks);
-    }
-    let r = env.region;
+/// No cursor is involved: the file's last one has dropped and returned
+/// its parked run before the inode is destroyed.
+pub fn free_all(r: &PmemRegion, blocks: &BlockAlloc, ino: Inode) {
     let mut map: Vec<Extent> = Vec::new();
     for_each_extent(r, ino, |_, e| map.push(e));
     for e in map {
-        env.blocks.free(PPtr::new(e.start), e.len / BLOCK_SIZE as u64);
+        blocks.free(PPtr::new(e.start), e.len / BLOCK_SIZE as u64);
     }
     let mut blk = ino.ext_next(r);
     while !blk.is_null() {
         let next = extblock::next(r, blk);
-        env.blocks.free(blk, 1);
+        blocks.free(blk, 1);
         blk = next;
     }
 }
@@ -1069,6 +912,7 @@ mod tests {
         region: Arc<PmemRegion>,
         blocks: Arc<BlockAlloc>,
         stats: DataStats,
+        faults: AllocFaults,
         cursor: FileCursor,
     }
 
@@ -1077,17 +921,19 @@ mod tests {
             let region = Arc::new(PmemRegion::new(bytes));
             let data = LExtent { start: PPtr::new(64 * 1024), len: bytes as u64 - 64 * 1024 };
             let blocks = Arc::new(BlockAlloc::new(data, 2));
-            Fx { region, blocks, stats: DataStats::default(), cursor: FileCursor::new() }
+            let (stats, faults, cursor) = Default::default();
+            Fx { region, blocks, stats, faults, cursor }
         }
 
+        /// Env on the fixture's file, the way the file system drives the
+        /// data path through an inode's shared cursor.
         fn env(&self) -> FileEnv<'_> {
-            FileEnv::new(&self.region, &self.blocks)
+            self.env_on(&self.cursor)
         }
 
-        /// Env with the cursor mirror and probe counters attached, the way
-        /// the file system drives the data path for open files.
-        fn env_cached(&self) -> FileEnv<'_> {
-            self.env().with_stats(&self.stats).with_cursor(&self.cursor)
+        /// Env on another cursor: a second file, or a second view of one.
+        fn env_on<'a>(&'a self, cursor: &'a FileCursor) -> FileEnv<'a> {
+            FileEnv::new(&self.region, &self.blocks, cursor, &self.stats, &self.faults)
         }
 
         fn inode(&self) -> Inode {
@@ -1102,14 +948,12 @@ mod tests {
 
         /// Writes `n` 4-KB chunks, claiming the block physically after the
         /// tail between writes so the append fast path can never extend in
-        /// place: a file with exactly `n` extents. The run an open file
-        /// parks after its tail goes back first, so the guard can take it.
+        /// place: a file with exactly `n` extents. The run the cursor
+        /// parks after the tail goes back first, so the guard can take it.
         fn fragmented(&self, env: &FileEnv<'_>, ino: Inode, n: u64) {
             for i in 0..n {
                 write_at(env, ino, i * 4096, &[i as u8; 4096]).unwrap();
-                if let Some(c) = env.cursor {
-                    c.return_parked(&self.blocks);
-                }
+                env.cursor.return_parked(&self.blocks);
                 let mut tail = 0u64;
                 for_each_extent(&self.region, ino, |_, e| tail = e.start + e.len);
                 let b = self.blocks.ptr_block(PPtr::new(tail));
@@ -1172,7 +1016,7 @@ mod tests {
     #[test]
     fn append_fast_path_extends_tail_in_place() {
         let fx = Fx::new(32 << 20);
-        let env = fx.env_cached();
+        let env = fx.env();
         let ino = fx.inode();
         let chunk = vec![5u8; 4096];
         for i in 0..64u64 {
@@ -1202,7 +1046,7 @@ mod tests {
         // trips (a failed `extend_at`, then one allocation).
         let fx = Fx::new(32 << 20);
         let files = [(fx.inode_at(4096), FileCursor::new()), (fx.inode_at(8192), FileCursor::new())];
-        let env = |c| fx.env().with_stats(&fx.stats).with_cursor(c);
+        let env = |c| fx.env_on(c);
         let mut round = 0u64;
         let mut append_rounds = |n: u64| {
             for _ in 0..n {
@@ -1237,7 +1081,7 @@ mod tests {
         // A run stops following the tail when the map changes under the
         // cursor; the next growth hands it back instead of spending it.
         let fx = Fx::new(32 << 20);
-        let env = fx.env_cached();
+        let env = fx.env();
         let ino = fx.inode();
         let free0 = fx.blocks.free_blocks();
         write_at(&env, ino, 0, &[1u8; 4096]).unwrap();
@@ -1245,8 +1089,9 @@ mod tests {
         assert_eq!(fx.blocks.reserved_idle_blocks(), 1, "the second growth parks one block");
         let tail = ino.extent(&fx.region, 0);
         let parked = fx.blocks.ptr_block(PPtr::new(tail.start + tail.len));
-        // A writer without the cursor grows the map elsewhere.
-        write_at(&fx.env(), ino, 2 * 4096, &[3u8; 4096]).unwrap();
+        // A writer through a second cursor grows the map elsewhere.
+        let other = FileCursor::new();
+        write_at(&fx.env_on(&other), ino, 2 * 4096, &[3u8; 4096]).unwrap();
         fx.cursor.invalidate();
         write_at(&env, ino, 3 * 4096, &[4u8; 4096]).unwrap();
         assert_eq!(fx.blocks.extend_at(parked, 1), 1, "the stale run is free again");
@@ -1260,17 +1105,20 @@ mod tests {
 
     #[test]
     fn free_all_coalesces_with_the_parked_run() {
-        // Freeing an open file returns the run parked after its tail too,
-        // so the file's blocks and the run coalesce back into one free run.
+        // An unlinked file's last close drops its cursor, which returns the
+        // run parked after its tail; freeing the file then coalesces its
+        // blocks and the run back into one free run.
         let fx = Fx::new(8 << 20);
-        let env = fx.env_cached();
+        let cursor = FileCursor::new();
+        let env = fx.env_on(&cursor);
         let ino = fx.inode();
         let before = fx.blocks.free_blocks();
         for i in 0..8u64 {
             write_at(&env, ino, i * 4096, &[i as u8; 4096]).unwrap();
         }
         assert!(fx.blocks.reserved_idle_blocks() > 0, "the appends parked a run");
-        free_all(&env, ino);
+        drop(cursor);
+        free_all(&fx.region, &fx.blocks, ino);
         assert_eq!(fx.blocks.reserved_idle_blocks(), 0);
         assert_eq!(fx.blocks.free_blocks(), before);
         assert!(
@@ -1282,7 +1130,7 @@ mod tests {
     #[test]
     fn cursor_makes_reads_single_step() {
         let fx = Fx::new(32 << 20);
-        let env = fx.env_cached();
+        let env = fx.env();
         let ino = fx.inode();
         fx.fragmented(&env, ino, 8);
         let base = fx.stats.snapshot();
@@ -1300,26 +1148,9 @@ mod tests {
     }
 
     #[test]
-    fn uncursored_reads_walk_the_map() {
-        // Contrast case proving the counters measure what they claim: with
-        // no mirror, locating a tail offset examines every earlier extent.
-        let fx = Fx::new(32 << 20);
-        let env = fx.env().with_stats(&fx.stats);
-        let ino = fx.inode();
-        fx.fragmented(&env, ino, 8);
-        let base = fx.stats.snapshot();
-        let mut buf = [0u8; 4096];
-        assert_eq!(read_at(&env, ino, 7 * 4096, &mut buf), 4096);
-        let d = fx.stats.snapshot().since(&base);
-        assert_eq!(d.walk_steps, 8, "fallback walk visits all 8 extents");
-        assert_eq!(d.map_walks, 1);
-        assert_eq!(d.cursor_hits + d.cursor_rebuilds, 0);
-    }
-
-    #[test]
     fn cursor_invalidated_by_truncate_then_rebuilds() {
         let fx = Fx::new(32 << 20);
-        let env = fx.env_cached();
+        let env = fx.env();
         let ino = fx.inode();
         fx.fragmented(&env, ino, 6);
         truncate(&env, ino, 2 * 4096 + 10).unwrap();
@@ -1398,7 +1229,7 @@ mod tests {
         // five extents must keep the first five intact (the in-place chain
         // rewrite path) and free the rest.
         let fx = Fx::new(64 << 20);
-        let env = fx.env_cached();
+        let env = fx.env();
         let ino = fx.inode();
         fx.fragmented(&env, ino, 12);
         let free_before = fx.blocks.free_blocks();
@@ -1436,7 +1267,7 @@ mod tests {
         let before = fx.blocks.free_blocks();
         write_at(&env, ino, 0, &vec![9u8; 2 << 20]).unwrap();
         assert!(fx.blocks.free_blocks() < before);
-        free_all(&env, ino);
+        free_all(&fx.region, &fx.blocks, ino);
         assert_eq!(fx.blocks.free_blocks(), before);
     }
 
@@ -1593,7 +1424,9 @@ mod tests {
         let region = Arc::new(PmemRegion::new_tracked(4 << 20));
         let data_ext = LExtent { start: PPtr::new(64 * 1024), len: (4 << 20) - 64 * 1024 };
         let blocks = Arc::new(BlockAlloc::new(data_ext, 1));
-        let env = FileEnv::new(&region, &blocks);
+        let (stats, faults) = (DataStats::default(), AllocFaults::default());
+        let cursor = FileCursor::new();
+        let env = FileEnv::new(&region, &blocks, &cursor, &stats, &faults);
         let ino = Inode(PPtr::new(4096));
         ino.init(&region, FileMode::file(0o644), 0, 0, 1, 0);
         region.persist(PPtr::new(4096), 128);
@@ -1602,7 +1435,8 @@ mod tests {
         let ino2 = Inode(PPtr::new(4096));
         assert_eq!(ino2.size(&crashed), 15);
         let blocks2 = Arc::new(BlockAlloc::new(data_ext, 1));
-        let env2 = FileEnv::new(&crashed, &blocks2);
+        let cursor2 = FileCursor::new();
+        let env2 = FileEnv::new(&crashed, &blocks2, &cursor2, &stats, &faults);
         let mut buf = [0u8; 15];
         assert_eq!(read_at(&env2, ino2, 0, &mut buf), 15);
         assert_eq!(&buf, b"durable payload");
@@ -1616,7 +1450,9 @@ mod tests {
         let region = Arc::new(PmemRegion::new_tracked(4 << 20));
         let data_ext = LExtent { start: PPtr::new(64 * 1024), len: (4 << 20) - 64 * 1024 };
         let blocks = Arc::new(BlockAlloc::new(data_ext, 1));
-        let env = FileEnv::new(&region, &blocks);
+        let (stats, faults) = (DataStats::default(), AllocFaults::default());
+        let cursor = FileCursor::new();
+        let env = FileEnv::new(&region, &blocks, &cursor, &stats, &faults);
         let ino = Inode(PPtr::new(4096));
         ino.init(&region, FileMode::file(0o644), 0, 0, 1, 0);
         region.persist(PPtr::new(4096), 128);
@@ -1627,7 +1463,8 @@ mod tests {
         assert_eq!(ino2.size(&crashed), 4096, "trimmed size durable");
         assert_eq!(for_each_extent(&crashed, ino2, |_, _| {}), 4096, "trimmed map durable");
         let blocks2 = Arc::new(BlockAlloc::new(data_ext, 1));
-        let env2 = FileEnv::new(&crashed, &blocks2);
+        let cursor2 = FileCursor::new();
+        let env2 = FileEnv::new(&crashed, &blocks2, &cursor2, &stats, &faults);
         let mut buf = [0u8; 4096];
         assert_eq!(read_at(&env2, ino2, 0, &mut buf), 4096);
         assert!(buf.iter().all(|&b| b == 0xab), "kept prefix intact");

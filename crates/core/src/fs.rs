@@ -89,9 +89,11 @@ struct OpenState {
     refs: u32,
     /// All directory entries are gone; free the inode on last close.
     orphaned: bool,
-    /// One extent cursor cache per open inode (§4.3 data path). Dropped
-    /// with the state on last close, so an unopened file carries no
-    /// volatile map and a fresh open rebuilds from NVMM.
+    /// One extent cursor per inode in use (§4.3 data path): every
+    /// descriptor, O_TRUNC and the compactor reach the file's extent map
+    /// through it. Dropped with the state on the last reference, so an
+    /// unused file carries no volatile map and the next user rebuilds from
+    /// NVMM.
     cursor: Arc<file::FileCursor>,
 }
 
@@ -522,8 +524,9 @@ impl SimurghFs {
     /// fragmented first) onto freshly allocated contiguous runs. Safe
     /// against concurrent use: every file moves under its per-file write
     /// lock, the map swap is guarded by the relocation journal
-    /// ([`compact::journal`]), and open handles' extent cursors are
-    /// generation-invalidated. Returns `(files_moved, blocks_moved)`.
+    /// ([`compact::journal`]), and the file's shared extent cursor, taken
+    /// with an open reference, is generation-invalidated. Returns
+    /// `(files_moved, blocks_moved)`.
     pub fn compact(&self, max_files: usize) -> (u64, u64) {
         self.harvest_candidates();
         let (mut nfiles, mut nblocks) = (0u64, 0u64);
@@ -533,25 +536,25 @@ impl SimurghFs {
                 break;
             };
             let ino = Inode(p);
+            // The open reference shares the inode's cursor with every
+            // descriptor, and defers an unlink's free to its close.
+            let cursor = self.open_ref(ino);
             // Revalidate: the file may have been unlinked since harvest.
             let h = obj::header(&self.region, p);
-            if !obj::is_valid(h) || obj::Tag::from_header(h) != Some(obj::Tag::Inode) {
-                continue;
+            let live = obj::is_valid(h)
+                && obj::Tag::from_header(h) == Some(obj::Tag::Inode)
+                && ino.mode(&self.region).ftype == FileType::Regular;
+            if live {
+                let env = self.file_env(&cursor);
+                let _w = file::lock_write(&env, ino);
+                if let Ok(compact::Reloc::Moved(b)) =
+                    compact::relocate_file(&env, ino, &self.obs.frag)
+                {
+                    nfiles += 1;
+                    nblocks += b;
+                }
             }
-            if ino.mode(&self.region).ftype != FileType::Regular {
-                continue;
-            }
-            let cursor = self.cursor_of(ino);
-            let mut env = self.file_env();
-            if let Some(c) = &cursor {
-                env = env.with_cursor(c);
-            }
-            let _w = file::lock_write(&env, ino);
-            if let Ok(compact::Reloc::Moved(b)) = compact::relocate_file(&env, ino, &self.obs.frag)
-            {
-                nfiles += 1;
-                nblocks += b;
-            }
+            self.close_ref(ino);
         }
         self.obs.frag.passes.add(1);
         (nfiles, nblocks)
@@ -631,10 +634,10 @@ impl SimurghFs {
         env
     }
 
-    fn file_env(&self) -> FileEnv<'_> {
-        let mut env = FileEnv::new(&self.region, &self.blocks)
-            .with_stats(&self.obs.data)
-            .with_faults(self.meta.faults());
+    /// Data-path context on the inode whose extent cursor is `cursor`.
+    fn file_env<'a>(&'a self, cursor: &'a file::FileCursor) -> FileEnv<'a> {
+        let mut env =
+            FileEnv::new(&self.region, &self.blocks, cursor, &self.obs.data, self.meta.faults());
         env.relaxed = self.cfg.relaxed_writes;
         env
     }
@@ -659,8 +662,11 @@ impl SimurghFs {
         }
     }
 
+    /// Symlink targets are read through a private cursor: they are
+    /// written once, at creation, and never change.
     fn read_symlink(&self, ino: Inode) -> FsResult<String> {
-        let env = self.file_env();
+        let cursor = file::FileCursor::new();
+        let env = self.file_env(&cursor);
         let len = ino.size(&self.region) as usize;
         let mut buf = vec![0u8; len];
         let n = file::read_at(&env, ino, 0, &mut buf);
@@ -745,7 +751,6 @@ impl SimurghFs {
     }
 
     fn destroy_inode(&self, ino: Inode) {
-        let env = self.file_env();
         if ino.mode(&self.region).ftype == FileType::Directory {
             // Free the hash-block chain.
             let e = ino.extent(&self.region, 0);
@@ -759,7 +764,7 @@ impl SimurghFs {
                 }
             }
         } else {
-            file::free_all(&env, ino);
+            file::free_all(&self.region, &self.blocks, ino);
         }
         self.meta.free(PoolKind::Inode, ino.ptr());
     }
@@ -771,17 +776,12 @@ impl SimurghFs {
     }
 
     /// Takes one open reference and returns the inode's shared extent
-    /// cursor (created on first open, shared by every later opener).
+    /// cursor (created by the first reference, shared by every later one).
     fn open_ref(&self, ino: Inode) -> Arc<file::FileCursor> {
         let mut states = self.open_state_shard(ino).lock();
         let s = states.entry(ino.ptr().off()).or_default();
         s.refs += 1;
         s.cursor.clone()
-    }
-
-    /// The shared extent cursor of `ino` if any descriptor holds it open.
-    fn cursor_of(&self, ino: Inode) -> Option<Arc<file::FileCursor>> {
-        self.open_state_shard(ino).lock().get(&ino.ptr().off()).map(|s| s.cursor.clone())
     }
 
     /// Drops one open reference. The last one removes the open state; its
@@ -814,7 +814,7 @@ impl SimurghFs {
         if !open.flags.write {
             return Err(FsError::BadFd);
         }
-        let env = self.file_env().with_cursor(&open.cursor);
+        let env = self.file_env(&open.cursor);
         let _w = file::lock_write(&env, open.ino);
         let off = off.unwrap_or_else(|| open.ino.size(&self.region));
         let n = file::write_at(&env, open.ino, off, data)?;
@@ -826,7 +826,7 @@ impl SimurghFs {
         if !open.flags.read {
             return Err(FsError::BadFd);
         }
-        let env = self.file_env().with_cursor(&open.cursor);
+        let env = self.file_env(&open.cursor);
         let _r = file::lock_read(&env, open.ino);
         Ok(file::read_at(&env, open.ino, off, buf))
     }
@@ -849,15 +849,17 @@ impl SimurghFs {
             self.check_perm(ctx, ino, want)?;
         }
         if flags.truncate && flags.write && m.ftype == FileType::Regular {
-            let mut fenv = self.file_env();
-            // Attach the existing openers' shared cursor so the truncate
-            // invalidates their mirror too (O_TRUNC from a new descriptor).
-            let cursor = self.cursor_of(ino);
-            if let Some(c) = &cursor {
-                fenv = fenv.with_cursor(c);
-            }
-            let _w = file::lock_write(&fenv, ino);
-            file::truncate(&fenv, ino, 0)?;
+            // The open reference shares the inode's cursor with every
+            // descriptor, including one opened while the lock is awaited,
+            // so the truncate invalidates the one mirror they all read.
+            let cursor = self.open_ref(ino);
+            let fenv = self.file_env(&cursor);
+            let truncated = {
+                let _w = file::lock_write(&fenv, ino);
+                file::truncate(&fenv, ino, 0)
+            };
+            self.close_ref(ino);
+            truncated?;
         }
         Ok(ino)
     }
@@ -1023,7 +1025,7 @@ impl FileSystem for SimurghFs {
             if !open.flags.write {
                 return Err(FsError::BadFd);
             }
-            let env = self.file_env().with_cursor(&open.cursor);
+            let env = self.file_env(&open.cursor);
             let _w = file::lock_write(&env, open.ino);
             file::truncate(&env, open.ino, len)
         })
@@ -1035,7 +1037,7 @@ impl FileSystem for SimurghFs {
             if !open.flags.write {
                 return Err(FsError::BadFd);
             }
-            let env = self.file_env().with_cursor(&open.cursor);
+            let env = self.file_env(&open.cursor);
             let _w = file::lock_write(&env, open.ino);
             file::fallocate(&env, open.ino, off, len)
         })
@@ -1196,16 +1198,18 @@ impl FileSystem for SimurghFs {
             let ino = self.new_inode(ctx, FileMode::symlink(), 1)?;
             scope.commit();
             drop(scope);
-            let fenv = self.file_env();
-            if let Err(e) = file::write_at(&fenv, ino, 0, target.as_bytes()) {
-                file::free_all(&fenv, ino);
+            // A private cursor: the inode is not linked yet, and its
+            // target is written only here (see `read_symlink`).
+            let cursor = file::FileCursor::new();
+            if let Err(e) = file::write_at(&self.file_env(&cursor), ino, 0, target.as_bytes()) {
+                file::free_all(&self.region, &self.blocks, ino);
                 self.meta.free(PoolKind::Inode, ino.ptr());
                 return Err(e);
             }
             match dir::insert(&env, first, name, FileType::Symlink, ino.ptr()) {
                 Ok(_) => Ok(()),
                 Err(e) => {
-                    file::free_all(&fenv, ino);
+                    file::free_all(&self.region, &self.blocks, ino);
                     self.meta.free(PoolKind::Inode, ino.ptr());
                     Err(e)
                 }

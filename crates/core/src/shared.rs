@@ -50,9 +50,11 @@ use crate::BLOCK_SIZE;
 ///   free-slot hints, chain tails, completeness bits. Rebuilt by
 ///   `reindex_dir` on full mounts; attachers start **empty** and converge
 ///   by verify-on-use (an unknown line falls back to the chain walk).
-/// * `FileCursor` / `CursorInner` — extent-map mirror of one open file.
-///   Built lazily from the persistent extent map on first use; generation
-///   bumps invalidate it, and a fresh process starts with no cursors. The
+/// * `FileCursor` / `CursorInner` — extent-map mirror of one inode in use:
+///   every descriptor on it, an O_TRUNC open and the compactor share it
+///   through an open reference. Built lazily from the persistent extent
+///   map on first use; generation bumps invalidate it, and a fresh process
+///   starts with no cursors. The
 ///   cursor also parks the file's block reservation: blocks claimed (in
 ///   the bitmap, under a shared mount) but referenced by no extent. Only
 ///   this process can spend them; it returns them on last close, truncate,
