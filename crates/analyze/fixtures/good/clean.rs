@@ -34,7 +34,7 @@ fn documented_unsafe(p: *const u64) -> u64 {
 fn read_at(env: &FileEnv, ino: Inode, buf: &mut [u8], off: u64) -> usize {
     // One O(extents) locate before the loop is fine; only per-iteration
     // re-walks inside the loop body are flagged.
-    let total = allocated_bytes(env, ino);
+    let total = for_each_extent(env.region, ino, |_, _| {});
     let mut done = 0;
     for run in stream_extents(env, ino, off) {
         done += copy_run(run, &mut buf[done..]);

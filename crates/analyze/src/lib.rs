@@ -15,29 +15,30 @@
 //! Eight rule families:
 //!
 //! * **persist-order** — in a function that issues raw region stores
-//!   (`write`, `write_from`, `nt_write_from`, `zero`) and later clears a
-//!   busy flag / valid bit / rename flag, a `persist`/`fence` (or
+//!   (`write`, `write_from`, `nt_write_from`, `zero`) and later releases a
+//!   busy flag, clears the rename log or invalidates an object
+//!   (`release_busy`, `clear_log`, `invalidate`), a `persist`/`fence` (or
 //!   `persist_now`/`fence_now`/scope-`commit`) call must sit between the
 //!   last store and the release (§4.3: "metadata updates occur after the
 //!   data has been persisted").
 //! * **fence-scope** — a group-commit `fence_scope()` elides `persist`/
 //!   `fence` calls until the scope closes, so a commit-point publish
-//!   (`set_line`, `set_flag`, `write_log`, `clear_dirty`, `invalidate`)
-//!   reached with stores staged and no intervening `scope.commit()` would
-//!   let the publish become durable before the preparation it vouches for;
-//!   the scope must commit first.
-//! * **lock-discipline** — a raw `try_busy` acquire, an armed rename log
-//!   (`write_log`) or a set `DF_RENAME` flag must be matched by a release
-//!   on every exit path; `?`/`return` while held is flagged. Returning an
-//!   RAII `*Guard` value is the sanctioned hand-off.
+//!   (`set_line`, `write_log`, `clear_dirty`, `invalidate`) reached with
+//!   stores staged and no intervening `scope.commit()` would let the
+//!   publish become durable before the preparation it vouches for; the
+//!   scope must commit first.
+//! * **lock-discipline** — a raw `try_busy` acquire or an armed rename log
+//!   (`write_log`) must be matched by a release (`release_busy`,
+//!   `clear_log`) on every exit path; `?`/`return` while held is flagged.
+//!   Returning an RAII `*Guard` value is the sanctioned hand-off.
 //! * **unsafe-audit** — every `unsafe` block/fn/impl/trait must be
 //!   preceded by a `// SAFETY:` (or `/// # Safety`) comment; the full
 //!   inventory is reported either way.
 //! * **data-path-walk** — the data hot path (`read_at`, `write_at`,
 //!   `ensure_allocated`) must stay O(1) in the extent count: calling the
-//!   O(extents) map helpers (`map_offset`, `allocated_bytes`,
-//!   `for_each_extent`) from inside a loop body of one of those functions
-//!   reintroduces the per-chunk re-walk the extent cursor cache removed.
+//!   O(extents) persistent-map walk (`for_each_extent`) from inside a loop
+//!   body of one of those functions reintroduces the per-chunk re-walk the
+//!   extent cursor removed.
 //! * **obs-coverage** — the observability layer only catches what it can
 //!   see: every counter battery declared in `core` — a `counters!`
 //!   invocation or a hand-written struct of `AtomicU64`s — must be wired
@@ -64,6 +65,11 @@
 //! False positives are suppressed in place with a justified
 //! `// analyze:allow(<rule-id>)` marker on the flagged line or in the
 //! comment block directly above it; see DESIGN.md "Enforced invariants".
+//!
+//! The rules match calls by function name, so a rule keyed on a function
+//! that was deleted or renamed silently stops firing.
+//! [`undeclared_rule_names`] lists every name in the rule tables that no
+//! `fn` in the scanned sources declares; tier-1 requires it to be empty.
 
 use std::fmt;
 use std::fs;
@@ -501,7 +507,7 @@ fn function_ranges(file: &SourceFile) -> Vec<(usize, usize)> {
 
 const STORE_CALLS: [&str; 4] = ["write", "write_from", "nt_write_from", "zero"];
 const FENCE_CALLS: [&str; 5] = ["persist", "fence", "persist_now", "fence_now", "commit"];
-const RELEASE_CALLS: [&str; 4] = ["release_busy", "clear_flag", "clear_log", "invalidate"];
+const RELEASE_CALLS: [&str; 3] = ["release_busy", "clear_log", "invalidate"];
 
 fn rule_persist_order(file: &SourceFile, report: &mut Report) {
     for &(start, end) in &function_ranges(file) {
@@ -545,8 +551,7 @@ fn rule_persist_order(file: &SourceFile, report: &mut Report) {
 /// store eagerly): a crash right after one must observe every preparation
 /// persist as durable, so inside a group-commit scope — where `persist`/
 /// `fence` are elided — they must be preceded by a `scope.commit()`.
-const COMMIT_POINT_CALLS: [&str; 5] =
-    ["set_line", "set_flag", "write_log", "clear_dirty", "invalidate"];
+const COMMIT_POINT_CALLS: [&str; 4] = ["set_line", "write_log", "clear_dirty", "invalidate"];
 /// Calls that make the scope's staged stores durable immediately.
 const EAGER_FENCE_CALLS: [&str; 3] = ["commit", "persist_now", "fence_now"];
 
@@ -724,7 +729,7 @@ fn rule_relocation_order(file: &SourceFile, report: &mut Report) {
 // ---------------------------------------------------------------------------
 
 const ACQUIRE_CALLS: [&str; 2] = ["try_busy", "write_log"];
-const LOCK_RELEASES: [&str; 3] = ["release_busy", "clear_flag", "clear_log"];
+const LOCK_RELEASES: [&str; 2] = ["release_busy", "clear_log"];
 
 fn rule_lock_discipline(file: &SourceFile, report: &mut Report) {
     for &(start, end) in &function_ranges(file) {
@@ -735,9 +740,7 @@ fn rule_lock_discipline(file: &SourceFile, report: &mut Report) {
             if line.skip {
                 continue;
             }
-            let acq = ACQUIRE_CALLS.iter().any(|s| has_call(&line.code, s))
-                || (has_call(&line.code, "set_flag") && line.code.contains("DF_RENAME"));
-            if acq {
+            if ACQUIRE_CALLS.iter().any(|s| has_call(&line.code, s)) {
                 open += 1;
                 acquire_ln = ln;
             }
@@ -862,7 +865,7 @@ fn rule_unsafe_audit(file: &SourceFile, report: &mut Report) {
 /// Functions forming the per-op data hot path: one extent locate per call.
 const DATA_HOT_FNS: [&str; 3] = ["read_at", "write_at", "ensure_allocated"];
 /// The O(extents) helpers those functions must not call per loop iteration.
-const DATA_WALK_CALLS: [&str; 3] = ["map_offset", "allocated_bytes", "for_each_extent"];
+const DATA_WALK_CALLS: [&str; 1] = ["for_each_extent"];
 
 /// Name of the function declared on this line, if any (`fn name(` shapes).
 fn declared_fn_name(code: &str) -> Option<String> {
@@ -1211,6 +1214,48 @@ pub fn tolerance_findings(src: &str, fn_name: &str) -> Vec<(usize, String)> {
 }
 
 // ---------------------------------------------------------------------------
+// Rule vocabulary
+// ---------------------------------------------------------------------------
+
+/// Every function-name table the rules match calls against.
+const RULE_TABLES: [(&str, &[&str]); 10] = [
+    ("STORE_CALLS", &STORE_CALLS),
+    ("FENCE_CALLS", &FENCE_CALLS),
+    ("RELEASE_CALLS", &RELEASE_CALLS),
+    ("COMMIT_POINT_CALLS", &COMMIT_POINT_CALLS),
+    ("EAGER_FENCE_CALLS", &EAGER_FENCE_CALLS),
+    ("MAP_SWAP_CALLS", &MAP_SWAP_CALLS),
+    ("ACQUIRE_CALLS", &ACQUIRE_CALLS),
+    ("LOCK_RELEASES", &LOCK_RELEASES),
+    ("DATA_HOT_FNS", &DATA_HOT_FNS),
+    ("DATA_WALK_CALLS", &DATA_WALK_CALLS),
+];
+
+/// Names in the rule tables that no `fn` outside `#[cfg(test)]` code in
+/// `sources` declares, as `TABLE: name`.
+fn undeclared_in(sources: &[(String, String)]) -> Vec<String> {
+    let mut declared = std::collections::HashSet::new();
+    for (label, src) in sources {
+        let file = load(label, src);
+        let live = file.lines.iter().filter(|l| !l.skip);
+        declared.extend(live.filter_map(|l| declared_fn_name(&l.code)));
+    }
+    RULE_TABLES
+        .iter()
+        .flat_map(|(table, names)| {
+            names.iter().filter(|n| !declared.contains(**n)).map(move |n| format!("{table}: {n}"))
+        })
+        .collect()
+}
+
+/// Names in the rule tables that no `fn` in the workspace rooted at `root`
+/// declares (the sources [`scan_workspace`] reads, test code excluded), as
+/// `TABLE: name`. A rule keyed on such a name can never fire.
+pub fn undeclared_rule_names(root: &Path) -> io::Result<Vec<String>> {
+    Ok(undeclared_in(&read_sources(&workspace_roots(root)?)?))
+}
+
+// ---------------------------------------------------------------------------
 // Drivers
 // ---------------------------------------------------------------------------
 
@@ -1246,26 +1291,28 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Scans every `.rs` file under the given roots.
-pub fn scan_dirs(roots: &[PathBuf]) -> io::Result<Report> {
+/// `(path, source)` of every `.rs` file under the given roots, sorted.
+fn read_sources(roots: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
     let mut paths = Vec::new();
     for root in roots {
         collect_rs(root, &mut paths)?;
     }
     paths.sort();
-    let mut sources = Vec::with_capacity(paths.len());
-    for p in &paths {
-        sources.push((p.display().to_string(), fs::read_to_string(p)?));
-    }
+    paths.iter().map(|p| Ok((p.display().to_string(), fs::read_to_string(p)?))).collect()
+}
+
+/// Scans every `.rs` file under the given roots.
+pub fn scan_dirs(roots: &[PathBuf]) -> io::Result<Report> {
+    let sources = read_sources(roots)?;
     let borrowed: Vec<(&str, &str)> =
         sources.iter().map(|(l, s)| (l.as_str(), s.as_str())).collect();
     Ok(scan_files(&borrowed))
 }
 
-/// Scans the Simurgh workspace rooted at `root`: every crate's `src/` tree
-/// (vendored third-party stand-ins under `vendor/` and the integration
-/// `tests/` crate are intentionally out of scope).
-pub fn scan_workspace(root: &Path) -> io::Result<Report> {
+/// Every crate's `src/` tree of the workspace rooted at `root` (vendored
+/// third-party stand-ins under `vendor/` and the integration `tests/`
+/// crate are intentionally out of scope).
+fn workspace_roots(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut roots = Vec::new();
     for entry in fs::read_dir(root.join("crates"))? {
         let src = entry?.path().join("src");
@@ -1274,7 +1321,12 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
         }
     }
     roots.sort();
-    scan_dirs(&roots)
+    Ok(roots)
+}
+
+/// Scans the Simurgh workspace rooted at `root` (see [`workspace_roots`]).
+pub fn scan_workspace(root: &Path) -> io::Result<Report> {
+    scan_dirs(&workspace_roots(root)?)
 }
 
 #[cfg(test)]
@@ -1349,11 +1401,11 @@ mod tests {
     }
 
     #[test]
-    fn persist_order_bad_nt_store_then_clear_flag() {
+    fn persist_order_bad_nt_store_then_clear_log() {
         let src = "
             fn finish(r: &R, d: D) {
                 r.nt_write_from(p, &buf);
-                d.clear_flag(r, DF_RENAME);
+                d.clear_log(r);
             }
         ";
         assert_eq!(findings_of(src, Rule::PersistOrder).len(), 1);
@@ -1388,7 +1440,7 @@ mod tests {
         let src = "
             fn log(r: &R, d: D) {
                 d.write_log(r, &entry);
-                d.clear_flag(r, DF_RENAME);
+                d.clear_log(r);
             }
         ";
         assert!(findings_of(src, Rule::PersistOrder).is_empty());
@@ -1612,9 +1664,9 @@ mod tests {
     fn lock_discipline_bad_question_mark_while_held() {
         let src = "
             fn op(r: &R, b: B) -> FsResult<()> {
-                b.set_flag(r, DF_RENAME);
+                b.write_log(r, &entry);
                 let x = alloc(r)?;
-                b.clear_flag(r, DF_RENAME);
+                b.clear_log(r);
                 Ok(())
             }
         ";
@@ -1749,7 +1801,7 @@ mod tests {
             fn read_at(env: &FileEnv, ino: Inode, buf: &mut [u8], mut off: u64) -> usize {
                 let mut done = 0;
                 while done < buf.len() {
-                    let (p, run) = map_offset(env, ino, off).unwrap();
+                    let (p, run) = run_at(off, for_each_extent(env.region, ino, |s, e| note(s, e)));
                     done += copy(p, run);
                     off += run;
                 }
@@ -1759,7 +1811,7 @@ mod tests {
         let f = findings_of(src, Rule::DataPathWalk);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 5);
-        assert!(f[0].message.contains("map_offset"));
+        assert!(f[0].message.contains("for_each_extent"));
     }
 
     #[test]
@@ -1772,7 +1824,7 @@ mod tests {
                 data.len()
             }
             fn ensure_allocated(env: &FileEnv, ino: Inode, end: u64) {
-                while allocated_bytes(env, ino) < end {
+                while for_each_extent(env.region, ino, |_, _| {}) < end {
                     grow(env, ino);
                 }
             }
@@ -1780,14 +1832,14 @@ mod tests {
         let f = findings_of(src, Rule::DataPathWalk);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].message.contains("for_each_extent"));
-        assert!(f[1].message.contains("allocated_bytes"));
+        assert!(f[1].message.contains("for_each_extent"));
     }
 
     #[test]
     fn data_path_walk_good_outside_loops_and_cold_fns() {
         let src = "
             fn read_at(env: &FileEnv, ino: Inode, buf: &mut [u8], off: u64) -> usize {
-                let total = allocated_bytes(env, ino);
+                let total = for_each_extent(env.region, ino, |_, _| {});
                 let mut done = 0;
                 for run in stream(env, ino, off) {
                     done += copy(run);
@@ -1810,7 +1862,7 @@ mod tests {
             fn ensure_allocated(env: &FileEnv, ino: Inode, end: u64) {
                 while grow(env, ino) {
                     // analyze:allow(data-path-walk): recovery-only slow path
-                    let a = allocated_bytes(env, ino);
+                    let a = for_each_extent(env.region, ino, |_, _| {});
                     if a >= end { break; }
                 }
             }
@@ -1818,14 +1870,33 @@ mod tests {
         assert!(findings_of(src, Rule::DataPathWalk).is_empty());
     }
 
+    // ----- rule vocabulary -------------------------------------------------
+
+    #[test]
+    fn vocabulary_counts_only_non_test_declarations() {
+        let src = "
+            fn write(r: &R) {}
+            const S: &str = \"fn try_busy(\";
+            #[cfg(test)]
+            mod tests {
+                fn clear_log() {}
+            }
+        ";
+        let missing = undeclared_in(&[("fixture.rs".to_owned(), src.to_owned())]);
+        assert!(!missing.iter().any(|m| m == "STORE_CALLS: write"), "{missing:?}");
+        let names = |m: &str| missing.iter().any(|x| x == m);
+        assert!(names("ACQUIRE_CALLS: try_busy"), "a string is no declaration");
+        assert!(names("LOCK_RELEASES: clear_log"), "test code is out of scope");
+    }
+
     #[test]
     fn invocation_matcher_skips_definitions() {
-        assert!(has_invocation("let a = allocated_bytes(env, ino);", "allocated_bytes"));
-        assert!(has_invocation("file::map_offset(env, ino, off)", "map_offset"));
+        assert!(has_invocation("let a = for_each_extent(r, ino, f);", "for_each_extent"));
+        assert!(has_invocation("file::ensure_allocated(env, ino, end)", "ensure_allocated"));
         assert!(has_invocation("self.for_each_extent(|e| ());", "for_each_extent"));
-        assert!(!has_invocation("pub fn map_offset(env: &FileEnv) {", "map_offset"));
-        assert!(!has_invocation("fn allocated_bytes(env: &FileEnv) {", "allocated_bytes"));
-        assert!(!has_invocation("let x = shared_map_offset(a);", "map_offset"));
+        assert!(!has_invocation("pub fn for_each_extent(r: &PmemRegion) {", "for_each_extent"));
+        assert!(!has_invocation("fn ensure_allocated(env: &FileEnv) {", "ensure_allocated"));
+        assert!(!has_invocation("let x = shared_for_each_extent(a);", "for_each_extent"));
     }
 
     // ----- obs-coverage ----------------------------------------------------

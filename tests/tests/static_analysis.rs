@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use simurgh_analyze::{scan_dirs, scan_workspace, Rule};
+use simurgh_analyze::{scan_dirs, scan_workspace, undeclared_rule_names, Rule};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("tests/ has a parent").to_owned()
@@ -17,6 +17,18 @@ fn workspace_is_clean() {
     assert!(report.files_scanned > 40, "scan saw only {} files", report.files_scanned);
     let rendered: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert!(rendered.is_empty(), "static analysis violations:\n{}", rendered.join("\n"));
+}
+
+#[test]
+fn every_rule_table_name_is_a_declared_fn() {
+    // The rules match calls by name: a name whose function was deleted or
+    // renamed leaves its rule unable to fire, with no finding to show it.
+    let missing = undeclared_rule_names(&workspace_root()).expect("scan workspace");
+    assert!(
+        missing.is_empty(),
+        "rule tables name functions the workspace does not declare:\n{}",
+        missing.join("\n")
+    );
 }
 
 #[test]
