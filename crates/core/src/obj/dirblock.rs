@@ -34,8 +34,10 @@ pub struct DirBlock(pub PPtr);
 
 simurgh_pmem::media_struct! {
     /// The per-directory log entry (stored in the first block at `O_LOG`).
-    /// One entry is enough because the busy flags serialize rename
-    /// operations per directory.
+    /// There is one entry per directory, but the busy flags serialize
+    /// renames only per hash line: two cross-directory renames out of one
+    /// directory on different lines write the same entry, a known race
+    /// (ROADMAP.md, open items).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct RenameLog (size 64, align 8) {
         /// 0 = idle, 1 = cross-directory rename (this dir is the source).

@@ -122,7 +122,8 @@ fn cut_every_fence(n: usize, chain: (usize, usize)) {
             if !held {
                 blocks.free(blocks.block_ptr(b), 1);
             }
-            assert_eq!(held, kept.contains(&b), "cut {cut}: block {b} held iff the map references it");
+            let referenced = kept.contains(&b);
+            assert_eq!(held, referenced, "cut {cut}: block {b} held iff the map references it");
         }
         let again = crash_and_remount(&rec);
         assert_eq!(again.recovery_report().reclaimed_objects, 0, "cut {cut}: second recovery");
