@@ -832,8 +832,14 @@ impl SimurghFs {
     }
 
     /// The post-resolution half of `open` on an existing inode: type and
-    /// permission checks, then O_TRUNC.
-    fn open_existing(&self, ctx: &ProcCtx, ino: Inode, flags: OpenFlags) -> FsResult<Inode> {
+    /// permission checks, the descriptor's open reference, then O_TRUNC.
+    /// Returns the inode and its shared extent cursor.
+    fn open_existing(
+        &self,
+        ctx: &ProcCtx,
+        ino: Inode,
+        flags: OpenFlags,
+    ) -> FsResult<(Inode, Arc<file::FileCursor>)> {
         let m = ino.mode(&self.region);
         if m.ftype == FileType::Directory && flags.write {
             return Err(FsError::IsDir);
@@ -848,27 +854,37 @@ impl SimurghFs {
         if want != 0 {
             self.check_perm(ctx, ino, want)?;
         }
+        // The reference is taken before O_TRUNC waits for the file lock:
+        // a descriptor opened meanwhile shares the cursor whose mirror the
+        // truncate invalidates, and an unlink meanwhile leaves the inode
+        // to the last close.
+        let cursor = self.open_ref(ino);
         if flags.truncate && flags.write && m.ftype == FileType::Regular {
-            // The open reference shares the inode's cursor with every
-            // descriptor, including one opened while the lock is awaited,
-            // so the truncate invalidates the one mirror they all read.
-            let cursor = self.open_ref(ino);
             let fenv = self.file_env(&cursor);
             let truncated = {
                 let _w = file::lock_write(&fenv, ino);
                 file::truncate(&fenv, ino, 0)
             };
-            self.close_ref(ino);
-            truncated?;
+            if let Err(e) = truncated {
+                drop(cursor);
+                self.close_ref(ino);
+                return Err(e);
+            }
         }
-        Ok(ino)
+        Ok((ino, cursor))
     }
 
     /// `open` with O_CREAT: one walk to the parent serves both the
     /// existence probe and the insert (the naive shape resolves the full
     /// path, fails, and walks the parent again — the extra walk is pure
     /// overhead on create-heavy metadata workloads).
-    fn open_create(&self, ctx: &ProcCtx, p: &str, flags: OpenFlags, mode: FileMode) -> FsResult<Inode> {
+    fn open_create(
+        &self,
+        ctx: &ProcCtx,
+        p: &str,
+        flags: OpenFlags,
+        mode: FileMode,
+    ) -> FsResult<(Inode, Arc<file::FileCursor>)> {
         let Ok((parent_comps, name)) = path::split_parent(p) else {
             // No final component to create ("/"): open what's there.
             let ino = self.resolve(ctx, p, true)?;
@@ -904,7 +920,7 @@ impl SimurghFs {
         match inserted {
             Ok(_) => {
                 drop(scope);
-                Ok(ino)
+                Ok((ino, self.open_ref(ino)))
             }
             Err(e) => {
                 self.meta.free(PoolKind::Inode, ino.ptr());
@@ -928,14 +944,13 @@ impl FileSystem for SimurghFs {
 
     fn open(&self, ctx: &ProcCtx, p: &str, flags: OpenFlags, mode: FileMode) -> FsResult<Fd> {
         self.protected_op(RequestKind::Open, OpClass::Walk, || {
-            let ino = if flags.create {
+            let (ino, cursor) = if flags.create {
                 self.open_create(ctx, p, flags, mode)?
             } else {
                 let ino = self.resolve(ctx, p, true)?;
                 self.open_existing(ctx, ino, flags)?
             };
             let pos = if flags.append { ino.size(&self.region) } else { 0 };
-            let cursor = self.open_ref(ino);
             Ok(self.opens.insert(ctx.pid, OpenFile { ino, pos, flags, cursor }))
         })
     }

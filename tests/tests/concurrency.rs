@@ -372,6 +372,42 @@ fn o_trunc_behind_a_new_descriptor_keeps_its_writes() {
 }
 
 #[test]
+fn unlink_while_o_trunc_waits_leaves_the_inode_to_the_last_close() {
+    // The O_TRUNC open holds its descriptor's reference while it waits for
+    // the file lock, so an unlink meanwhile only orphans the inode: the
+    // descriptor truncates and writes a live file, and its close frees it.
+    let fs = simurgh(32 << 20);
+    let root = ProcCtx::root(0);
+    fs.write_file(&root, "/f", &[1u8; 8192]).unwrap();
+    let free = fs.block_alloc().free_blocks();
+    let ino = Inode(PPtr::new(fs.stat(&root, "/f").unwrap().ino));
+    let lock = fs.region().atomic_u64(ino.lock_ptr());
+    lock.fetch_add(1, Ordering::AcqRel);
+    std::thread::scope(|s| {
+        let opener = s.spawn(|| {
+            let ctx = ProcCtx::root(2);
+            let rw = OpenFlags { read: true, ..OpenFlags::CREATE };
+            let fd = fs.open(&ctx, "/f", rw, FileMode::default()).unwrap();
+            fs.pwrite(&ctx, fd, &[7u8; 4096], 0).unwrap();
+            let mut buf = [0u8; 4096];
+            assert_eq!(fs.pread(&ctx, fd, &mut buf, 0).unwrap(), 4096);
+            assert!(buf.iter().all(|&b| b == 7), "the orphan keeps its bytes until close");
+            fs.close(&ctx, fd).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        fs.unlink(&root, "/f").unwrap();
+        let _ = lock.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
+            (v & LOCK_READERS != 0).then(|| v - 1)
+        });
+        opener.join().unwrap();
+    });
+    assert!(fs.stat(&root, "/f").is_err());
+    assert_eq!(fs.block_alloc().free_blocks(), free + 2, "the last close freed every block");
+    let r = check::check(&fs, true);
+    assert!(r.is_clean(), "fsck: {:?}", r.violations);
+}
+
+#[test]
 fn compaction_behind_a_new_descriptor_keeps_its_writes() {
     // The compactor waits for the file lock while a first descriptor
     // opens and reads the old map. The relocation moves the bytes and
