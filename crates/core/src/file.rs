@@ -359,8 +359,15 @@ impl<'a> FileEnv<'a> {
         stats: &'a DataStats,
         faults: &'a AllocFaults,
     ) -> Self {
-        let (relaxed, max_hold) = (false, DEFAULT_FILE_MAX_HOLD);
-        FileEnv { region, blocks, relaxed, max_hold, cursor, stats, faults }
+        FileEnv {
+            region,
+            blocks,
+            relaxed: false,
+            max_hold: DEFAULT_FILE_MAX_HOLD,
+            cursor,
+            stats,
+            faults,
+        }
     }
 
     #[inline]
