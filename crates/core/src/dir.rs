@@ -1080,6 +1080,38 @@ mod tests {
     }
 
     #[test]
+    fn takeover_restarts_the_grace_period() {
+        let fx = Fixture::new();
+        let mut env = fx.env();
+        env.max_hold = Duration::from_millis(50);
+        let dir = fx.new_dir();
+        let line = 9;
+        // A holder that died with the flag set.
+        assert!(dir.try_busy(&fx.region, line));
+        let region = &fx.region;
+        let cleared = crossbeam::thread::scope(|s| {
+            let contender = s.spawn(move |_| {
+                // A live process grabs the flag the moment the waiter's
+                // takeover frees it, and holds it well inside the limit.
+                while !dir.try_busy(region, line) {
+                    std::hint::spin_loop();
+                }
+                let until = Instant::now() + Duration::from_millis(10);
+                let mut cleared = false;
+                while Instant::now() < until {
+                    cleared |= !dir.is_busy(region, line);
+                }
+                dir.release_busy(region, line);
+                cleared
+            });
+            drop(lock_line(&env, dir, line));
+            contender.join().unwrap()
+        })
+        .unwrap();
+        assert!(!cleared, "the waiter took over a live holder's flag");
+    }
+
+    #[test]
     fn concurrent_inserts_same_directory() {
         let fx = Fixture::new();
         let dir = fx.new_dir();
