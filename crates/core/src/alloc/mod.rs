@@ -14,7 +14,7 @@ pub mod tslock;
 
 pub use blocks::BlockAlloc;
 pub use meta::MetaAllocator;
-pub use tslock::{lock_stats, Acquired, Backoff, LockStats, TsGuard, TsLock};
+pub use tslock::{lock_stats, Acquired, Backoff, Grace, LockStats, TsGuard, TsLock};
 
 /// Programmable resource-fault injector shared by both allocators of a
 /// mount (reachable through [`crate::SimurghFs::alloc_faults`]).

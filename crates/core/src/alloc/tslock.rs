@@ -75,6 +75,32 @@ impl Backoff {
     }
 }
 
+/// Grace-period clock of a waiter on a flag lock (directory lines, file
+/// rw-locks). It starts at the first failed probe, so an uncontended
+/// acquisition reads no clock, and restarts after each expiry, so a
+/// takeover gives whoever holds the lock next a full period of its own.
+#[derive(Debug, Default)]
+pub struct Grace(Option<Instant>);
+
+impl Grace {
+    /// Records one failed probe. True once the probes have failed for
+    /// longer than `max_hold`: the holder is presumed crashed, and the
+    /// next failed probe starts a fresh period.
+    pub fn expired(&mut self, max_hold: Duration) -> bool {
+        match self.0 {
+            None => {
+                self.0 = Some(Instant::now());
+                false
+            }
+            Some(start) if start.elapsed() > max_hold => {
+                self.0 = None;
+                true
+            }
+            Some(_) => false,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Process-wide lock battery
 // ---------------------------------------------------------------------------

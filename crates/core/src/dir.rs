@@ -11,14 +11,14 @@
 //! decentralized as in the paper, by any process that times out waiting on
 //! a busy flag (the previous holder is presumed crashed).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simurgh_fsapi::types::FileType;
 use simurgh_fsapi::{FsError, FsResult};
 use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
-use crate::alloc::{lock_stats, Backoff, MetaAllocator};
+use crate::alloc::{lock_stats, Backoff, Grace, MetaAllocator};
 use crate::dindex::{DirIndex, IndexHit};
 use crate::hash::{dir_line, fnv1a};
 use crate::obj::dirblock::{logop, DirBlock, RenameLog, NLINES};
@@ -124,14 +124,14 @@ impl Drop for LineGuard<'_> {
 
 /// Acquires the busy flag of `line`, running crash recovery on timeout.
 pub fn lock_line<'a>(env: &DirEnv<'a>, first: DirBlock, line: usize) -> LineGuard<'a> {
-    let start = Instant::now();
+    let mut grace = Grace::default();
     let mut backoff = Backoff::default();
     loop {
         if first.try_busy(env.region, line) {
             lock_stats().acquires.add(1);
             return LineGuard { region: env.region, first, line };
         }
-        if start.elapsed() > env.max_hold {
+        if grace.expired(env.max_hold) {
             // Presumed-crashed holder: repair the line, then force-release
             // the flag so everyone can progress (paper §4.3 crash recovery).
             crate::obs::trace(
@@ -880,6 +880,7 @@ mod tests {
     use crate::super_block::Superblock;
     use simurgh_pmem::layout::Extent;
     use std::sync::Arc;
+    use std::time::Instant;
 
     struct Fixture {
         region: Arc<PmemRegion>,

@@ -44,7 +44,7 @@ use simurgh_fsapi::{FsError, FsResult};
 use simurgh_pmem::stats::Counter;
 use simurgh_pmem::{PPtr, PmemRegion};
 
-use crate::alloc::{lock_stats, AllocFaults, Backoff, BlockAlloc};
+use crate::alloc::{lock_stats, AllocFaults, Backoff, BlockAlloc, Grace};
 use crate::obj::inode::{extblock, Extent, Inode, INLINE_EXTENTS};
 use crate::BLOCK_SIZE;
 
@@ -421,7 +421,7 @@ impl Drop for WriteGuard<'_> {
 pub fn lock_read<'a>(env: &FileEnv<'a>, ino: Inode) -> ReadGuard<'a> {
     let lock = ino.lock_ptr();
     let a = env.region.atomic_u64(lock);
-    let mut start = Instant::now();
+    let mut grace = Grace::default();
     let mut backoff = Backoff::default();
     loop {
         let s = a.load(Ordering::Acquire);
@@ -430,14 +430,13 @@ pub fn lock_read<'a>(env: &FileEnv<'a>, ino: Inode) -> ReadGuard<'a> {
                 lock_stats().acquires.add(1);
                 return ReadGuard { region: env.region, lock };
             }
-        } else if start.elapsed() > env.max_hold {
+        } else if grace.expired(env.max_hold) {
             // Crashed writer: clear *only* the writer bit. A blanket
             // store(0) would also wipe reader counts that raced in after
             // another waiter's reset, making their guards underflow on drop.
             crate::obs::trace(crate::obs::EventKind::BusyTimeout, lock.off(), s);
             a.fetch_and(!WRITER, Ordering::AcqRel);
             lock_stats().steals.add(1);
-            start = Instant::now();
         }
         backoff.wait();
     }
@@ -450,14 +449,15 @@ pub fn lock_write<'a>(env: &FileEnv<'a>, ino: Inode) -> WriteGuard<'a> {
         return WriteGuard { region: None, lock };
     }
     let a = env.region.atomic_u64(lock);
-    let mut start = Instant::now();
+    let mut grace = Grace::default();
     let mut backoff = Backoff::default();
     loop {
         if a.compare_exchange_weak(0, WRITER, Ordering::AcqRel, Ordering::Acquire).is_ok() {
             lock_stats().acquires.add(1);
             return WriteGuard { region: Some(env.region), lock };
         }
-        if start.elapsed() > env.max_hold {
+        // Whoever survives an expiry's reset gets a fresh grace period.
+        if grace.expired(env.max_hold) {
             let s = a.load(Ordering::Acquire);
             if s & WRITER != 0 {
                 // Crashed writer: clear only its bit (see lock_read) so
@@ -472,8 +472,6 @@ pub fn lock_write<'a>(env: &FileEnv<'a>, ino: Inode) -> WriteGuard<'a> {
                 // keeps its slot and we simply retry.
                 let _ = a.compare_exchange(s, 0, Ordering::AcqRel, Ordering::Acquire);
             }
-            // Fresh grace period for whoever survived the reset.
-            start = Instant::now();
         }
         backoff.wait();
     }
