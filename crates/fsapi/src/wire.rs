@@ -23,8 +23,10 @@
 //!   connection's descriptors (see `OpenTable`). Only credentials travel,
 //!   once, inside [`Hello`].
 //! * **Reads return data, not lengths.** `read`/`pread` fill a
-//!   caller-provided buffer in process; over the wire the server allocates
-//!   and ships the bytes back ([`Response::Data`]).
+//!   caller-provided buffer in process; over the wire the server reads
+//!   straight into the payload of the reply frame it is writing
+//!   ([`Response::encode_data_into`] inside [`frame_into`]) and ships the
+//!   bytes back as a [`Response::Data`] body.
 //!
 //! [`FileSystem`]: crate::FileSystem
 
@@ -661,8 +663,8 @@ requests! {
         /// Descriptor to close.
         fd: Fd,
     },
-    /// `FileSystem::read` — the server allocates up to `len` bytes and
-    /// ships them back ([`Response::Data`]).
+    /// `FileSystem::read` — the server reads up to `len` bytes into the
+    /// reply and ships them back ([`Response::Data`]).
     Read read {
         /// Descriptor to read from.
         fd: Fd,
@@ -861,85 +863,130 @@ pub enum Response {
     },
 }
 
+// Response tags: the first byte of every response body.
+const TAG_UNIT: u8 = 0;
+const TAG_FD: u8 = 1;
+const TAG_SIZE: u8 = 2;
+const TAG_DATA: u8 = 3;
+const TAG_STR: u8 = 4;
+const TAG_STAT: u8 = 5;
+const TAG_STATFS: u8 = 6;
+const TAG_ENTRIES: u8 = 7;
+const TAG_TREE: u8 = 8;
+const TAG_ERR: u8 = 9;
+const TAG_BUSY: u8 = 10;
+
 impl Response {
     /// Encodes the frame body (tag + payload, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the frame body (tag + payload, no length prefix) to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Response::Unit => put_u8(&mut buf, 0),
+            Response::Unit => put_u8(buf, TAG_UNIT),
             Response::Fd(fd) => {
-                put_u8(&mut buf, 1);
-                put_u32(&mut buf, fd.0);
+                put_u8(buf, TAG_FD);
+                put_u32(buf, fd.0);
             }
             Response::Size(n) => {
-                put_u8(&mut buf, 2);
-                put_u64(&mut buf, *n);
+                put_u8(buf, TAG_SIZE);
+                put_u64(buf, *n);
             }
             Response::Data(d) => {
-                put_u8(&mut buf, 3);
-                put_bytes(&mut buf, d);
+                put_u8(buf, TAG_DATA);
+                put_bytes(buf, d);
             }
             Response::Str(s) => {
-                put_u8(&mut buf, 4);
-                put_str(&mut buf, s);
+                put_u8(buf, TAG_STR);
+                put_str(buf, s);
             }
             Response::Stat(s) => {
-                put_u8(&mut buf, 5);
-                s.put(&mut buf);
+                put_u8(buf, TAG_STAT);
+                s.put(buf);
             }
             Response::Statfs(s) => {
-                put_u8(&mut buf, 6);
-                put_u64(&mut buf, s.total_bytes);
-                put_u64(&mut buf, s.free_bytes);
-                put_u32(&mut buf, s.block_size);
+                put_u8(buf, TAG_STATFS);
+                put_u64(buf, s.total_bytes);
+                put_u64(buf, s.free_bytes);
+                put_u32(buf, s.block_size);
             }
             Response::Entries(es) => {
-                put_u8(&mut buf, 7);
-                put_u32(&mut buf, es.len() as u32);
+                put_u8(buf, TAG_ENTRIES);
+                put_u32(buf, es.len() as u32);
                 for e in es {
-                    put_str(&mut buf, &e.name);
-                    e.ftype.put(&mut buf);
-                    put_u64(&mut buf, e.ino);
+                    put_str(buf, &e.name);
+                    e.ftype.put(buf);
+                    put_u64(buf, e.ino);
                 }
             }
             Response::Tree(rows) => {
-                put_u8(&mut buf, 8);
-                put_u32(&mut buf, rows.len() as u32);
+                put_u8(buf, TAG_TREE);
+                put_u32(buf, rows.len() as u32);
                 for (path, ftype, size) in rows {
-                    put_str(&mut buf, path);
-                    ftype.put(&mut buf);
-                    put_u64(&mut buf, *size);
+                    put_str(buf, path);
+                    ftype.put(buf);
+                    put_u64(buf, *size);
                 }
             }
             Response::Err(e) => {
-                put_u8(&mut buf, 9);
-                put_err(&mut buf, e);
+                put_u8(buf, TAG_ERR);
+                put_err(buf, e);
             }
             Response::Busy { in_flight, limit } => {
-                put_u8(&mut buf, 10);
-                put_u32(&mut buf, *in_flight);
-                put_u32(&mut buf, *limit);
+                put_u8(buf, TAG_BUSY);
+                put_u32(buf, *in_flight);
+                put_u32(buf, *limit);
             }
         }
-        buf
+    }
+
+    /// Appends a [`Response::Data`] body whose payload `fill` writes in
+    /// place: it gets `len` zeroed bytes and returns how many it used. An
+    /// error becomes the [`Response::Err`] body instead, so the bytes are
+    /// those `encode` writes for the equivalent `Response`.
+    pub fn encode_data_into(
+        buf: &mut Vec<u8>,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<usize, FsError>,
+    ) {
+        let at = buf.len();
+        put_u8(buf, TAG_DATA);
+        put_u32(buf, 0);
+        let payload = buf.len();
+        buf.resize(payload + len, 0);
+        match fill(&mut buf[payload..]) {
+            Ok(n) => {
+                let n = n.min(len);
+                buf.truncate(payload + n);
+                buf[at + 1..payload].copy_from_slice(&(n as u32).to_le_bytes());
+            }
+            Err(e) => {
+                buf.truncate(at);
+                Response::Err(e).encode_into(buf);
+            }
+        }
     }
 
     /// Decodes a frame body produced by [`Response::encode`].
     pub fn decode(body: &[u8]) -> Result<Response, DecodeError> {
         let mut c = Cursor::new(body);
         let resp = match c.u8()? {
-            0 => Response::Unit,
-            1 => Response::Fd(Fd(c.u32()?)),
-            2 => Response::Size(c.u64()?),
-            3 => Response::Data(c.bytes()?),
-            4 => Response::Str(c.string()?),
-            5 => Response::Stat(Stat::get(&mut c)?),
-            6 => Response::Statfs(FsStats {
+            TAG_UNIT => Response::Unit,
+            TAG_FD => Response::Fd(Fd(c.u32()?)),
+            TAG_SIZE => Response::Size(c.u64()?),
+            TAG_DATA => Response::Data(c.bytes()?),
+            TAG_STR => Response::Str(c.string()?),
+            TAG_STAT => Response::Stat(Stat::get(&mut c)?),
+            TAG_STATFS => Response::Statfs(FsStats {
                 total_bytes: c.u64()?,
                 free_bytes: c.u64()?,
                 block_size: c.u32()?,
             }),
-            7 => {
+            TAG_ENTRIES => {
                 let n = c.u32()? as usize;
                 let mut es = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
@@ -951,7 +998,7 @@ impl Response {
                 }
                 Response::Entries(es)
             }
-            8 => {
+            TAG_TREE => {
                 let n = c.u32()? as usize;
                 let mut rows = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
@@ -959,8 +1006,8 @@ impl Response {
                 }
                 Response::Tree(rows)
             }
-            9 => Response::Err(get_err(&mut c)?),
-            10 => Response::Busy { in_flight: c.u32()?, limit: c.u32()? },
+            TAG_ERR => Response::Err(get_err(&mut c)?),
+            TAG_BUSY => Response::Busy { in_flight: c.u32()?, limit: c.u32()? },
             t => return Err(DecodeError::BadTag("Response", t)),
         };
         c.finish()?;
@@ -975,9 +1022,18 @@ impl Response {
 /// Wraps a frame body with its little-endian `u32` length prefix.
 pub fn frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(body);
+    frame_into(&mut out, |out| out.extend_from_slice(body));
     out
+}
+
+/// Appends one frame to `out`: reserves the length prefix, lets `body`
+/// append the frame body, then back-patches the prefix with its length.
+pub fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    body(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Incremental deframer: given the unconsumed byte stream, returns
@@ -1122,6 +1178,30 @@ mod tests {
         // Oversized length prefix is refused, not buffered.
         let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
         assert!(matches!(split_frame(&huge), Err(DecodeError::FrameTooLarge(_))));
+    }
+
+    #[test]
+    fn in_place_writers_match_the_owned_encoders() {
+        // `frame_into` appends after what the buffer already holds.
+        let mut out = vec![0xAA];
+        frame_into(&mut out, |b| Response::Size(7).encode_into(b));
+        assert_eq!(out[1..], frame(&Response::Size(7).encode())[..]);
+
+        let data = |len, fill: Result<&[u8], FsError>| {
+            let mut body = vec![0xBB];
+            Response::encode_data_into(&mut body, len, |buf| {
+                assert_eq!(buf, &vec![0; len][..], "the payload slot starts zeroed");
+                fill.map(|d| {
+                    buf[..d.len()].copy_from_slice(d);
+                    d.len()
+                })
+            });
+            body.split_off(1)
+        };
+        assert_eq!(data(8, Ok(b"abc")), Response::Data(b"abc".to_vec()).encode());
+        assert_eq!(data(3, Ok(b"abc")), Response::Data(b"abc".to_vec()).encode());
+        assert_eq!(data(0, Ok(b"")), Response::Data(Vec::new()).encode());
+        assert_eq!(data(8, Err(FsError::BadFd)), Response::Err(FsError::BadFd).encode());
     }
 
     #[test]

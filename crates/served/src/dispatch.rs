@@ -2,12 +2,14 @@
 //!
 //! [`dispatch`] is an exhaustive `match` over `Request` with no wildcard
 //! arm, so a row added to the wire table in `fsapi` without a handler here
-//! fails to compile.
+//! fails to compile. [`serve_into`] is the daemon's reply path: it frames
+//! each reply straight into the connection's write buffer, and a `read` or
+//! `pread` reads its data into its slot in that frame.
 
 use std::collections::HashSet;
 
 use simurgh_fsapi::error::FsResult;
-use simurgh_fsapi::wire::{Request, Response, MAX_FRAME};
+use simurgh_fsapi::wire::{self, Request, Response, MAX_FRAME};
 use simurgh_fsapi::{Fd, FileSystem, ProcCtx};
 
 /// Descriptors a connection currently holds, tracked server-side so a
@@ -61,13 +63,28 @@ fn data(r: FsResult<Vec<u8>>) -> Response {
     }
 }
 
-fn read_into(fs: &impl FileSystem, ctx: &ProcCtx, fd: Fd, len: u32, off: Option<u64>) -> Response {
-    let mut buf = vec![0u8; (len as usize).min(MAX_FRAME - 64)];
-    let r = match off {
-        Some(off) => fs.pread(ctx, fd, &mut buf, off),
-        None => fs.read(ctx, fd, &mut buf),
+/// The gateway's one read: a `pread` at `off`, or a `read` at the
+/// descriptor's position when `off` is `None`. Returns the length to read,
+/// `len` clamped so the reply fits one frame, and the read itself, which
+/// fills the buffer it is given and returns the bytes it read.
+fn reader<'a, F: FileSystem>(
+    fs: &'a F,
+    ctx: &'a ProcCtx,
+    fd: Fd,
+    len: u32,
+    off: Option<u64>,
+) -> (usize, impl FnOnce(&mut [u8]) -> FsResult<usize> + 'a) {
+    let read = move |buf: &mut [u8]| match off {
+        Some(off) => fs.pread(ctx, fd, buf, off),
+        None => fs.read(ctx, fd, buf),
     };
-    match r {
+    ((len as usize).min(MAX_FRAME - 64), read)
+}
+
+/// [`reader`] into a buffer of its own, for [`dispatch`].
+fn read_data((len, read): (usize, impl FnOnce(&mut [u8]) -> FsResult<usize>)) -> Response {
+    let mut buf = vec![0u8; len];
+    match read(&mut buf) {
         Ok(n) => {
             buf.truncate(n);
             Response::Data(buf)
@@ -102,9 +119,9 @@ pub fn dispatch(fs: &impl FileSystem, ctx: &ProcCtx, req: Request, fds: &mut Con
             }
             unit(r)
         }
-        Request::Read { fd, len } => read_into(fs, ctx, fd, len, None),
+        Request::Read { fd, len } => read_data(reader(fs, ctx, fd, len, None)),
         Request::Write { fd, data } => size(fs.write(ctx, fd, &data)),
-        Request::Pread { fd, len, off } => read_into(fs, ctx, fd, len, Some(off)),
+        Request::Pread { fd, len, off } => read_data(reader(fs, ctx, fd, len, Some(off))),
         Request::Pwrite { fd, data, off } => size(fs.pwrite(ctx, fd, &data, off)),
         Request::Lseek { fd, pos } => match fs.lseek(ctx, fd, pos) {
             Ok(n) => Response::Size(n),
@@ -149,4 +166,25 @@ pub fn dispatch(fs: &impl FileSystem, ctx: &ProcCtx, req: Request, fds: &mut Con
             Err(e) => Response::Err(e),
         },
     }
+}
+
+/// Serves one decoded request and appends its reply frame to `out`, the
+/// connection's write buffer. A `read` or `pread` reads its data straight
+/// into the frame; every other op encodes [`dispatch`]'s response in place.
+/// The bytes are those of `wire::frame(&dispatch(..).encode())`.
+pub fn serve_into(
+    fs: &impl FileSystem,
+    ctx: &ProcCtx,
+    req: Request,
+    fds: &mut ConnFds,
+    out: &mut Vec<u8>,
+) {
+    wire::frame_into(out, |out| {
+        let (len, read) = match req {
+            Request::Read { fd, len } => reader(fs, ctx, fd, len, None),
+            Request::Pread { fd, len, off } => reader(fs, ctx, fd, len, Some(off)),
+            req => return dispatch(fs, ctx, req, fds).encode_into(out),
+        };
+        Response::encode_data_into(out, len, read);
+    });
 }

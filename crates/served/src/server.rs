@@ -19,7 +19,7 @@ use simurgh_fsapi::wire::{self, Hello, HelloOk, Request, Response, PROTOCOL_VERS
 use simurgh_fsapi::{Credentials, ProcCtx};
 
 use crate::batch::Served;
-use crate::dispatch::{dispatch, ConnFds};
+use crate::dispatch::{serve_into, ConnFds};
 use crate::sys;
 
 /// Epoll token of a shard's wake-up pipe (connection ids are `u32`, so
@@ -69,7 +69,10 @@ struct Conn {
     hello_done: bool,
     /// Unconsumed request bytes.
     rd: Vec<u8>,
-    /// Encoded replies not yet written, from `wr_pos`.
+    /// The decoded burst, kept between bursts for its capacity.
+    burst: Vec<Request>,
+    /// Reply frames not yet written, from `wr_pos`; replies are framed
+    /// straight into it.
     wr: Vec<u8>,
     wr_pos: usize,
     /// Whether `EPOLLOUT` interest is currently armed.
@@ -85,6 +88,7 @@ impl Conn {
             ctx: ProcCtx::new(id, Credentials::ROOT),
             hello_done: false,
             rd: Vec::new(),
+            burst: Vec::new(),
             wr: Vec::new(),
             wr_pos: 0,
             want_out: false,
@@ -312,9 +316,9 @@ fn close_conn<F: Served>(fs: &F, stats: &GatewayStats, epfd: RawFd, mut conn: Co
     stats.disconnects.add(1);
 }
 
-/// Drains the socket, decodes every complete frame, runs the burst, and
-/// queues replies. Returns false when the connection must be closed
-/// (EOF, error, protocol violation).
+/// Reads what the socket has, decodes every complete frame, runs the
+/// burst, and queues replies. Returns false when the connection must be
+/// closed (EOF, error, protocol violation).
 fn handle_readable<F: Served>(
     fs: &F,
     stats: &GatewayStats,
@@ -334,6 +338,13 @@ fn handle_readable<F: Served>(
             Ok(n) => {
                 got_bytes = true;
                 conn.rd.extend_from_slice(&tmp[..n]);
+                // Only a full buffer may have left bytes behind. The
+                // registration is level-triggered, so epoll reports again
+                // whatever a short read left, and the read that would
+                // return EAGAIN is saved.
+                if n < tmp.len() {
+                    break;
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -366,7 +377,6 @@ fn process_input<F: Served>(
     conn: &mut Conn,
 ) -> bool {
     let mut consumed = 0usize;
-    let mut requests: Vec<Request> = Vec::new();
     loop {
         match wire::split_frame(&conn.rd[consumed..]) {
             Ok(Some((used, body))) => {
@@ -380,13 +390,15 @@ fn process_input<F: Served>(
                             conn.ctx = ProcCtx::new(conn.id(), h.creds);
                             let ok =
                                 HelloOk { version: PROTOCOL_VERSION, conn_id: conn.id() };
-                            push_reply_bytes(conn, &ok.encode());
+                            wire::frame_into(&mut conn.wr, |out| {
+                                out.extend_from_slice(&ok.encode())
+                            });
                         }
                         _ => return false,
                     }
                 } else {
                     match Request::decode(body) {
-                        Ok(r) => requests.push(r),
+                        Ok(r) => conn.burst.push(r),
                         Err(_) => return false,
                     }
                 }
@@ -397,71 +409,46 @@ fn process_input<F: Served>(
         }
     }
     conn.rd.drain(..consumed);
-    if !requests.is_empty() && !run_burst(fs, stats, cfg, conn, requests) {
-        return false;
+    if !conn.burst.is_empty() {
+        run_burst(fs, stats, cfg, conn);
     }
     conn.wr.len() - conn.wr_pos <= MAX_PENDING_REPLY
 }
 
-/// Admission-checks and executes one drained pipeline burst under a
-/// single persistence batch, preserving request order in the replies.
-fn run_burst<F: Served>(
-    fs: &F,
-    stats: &GatewayStats,
-    cfg: &ServerConfig,
-    conn: &mut Conn,
-    requests: Vec<Request>,
-) -> bool {
+/// Admission-checks and executes the decoded burst under a single
+/// persistence batch, framing each reply in request order straight into
+/// the connection's write buffer.
+fn run_burst<F: Served>(fs: &F, stats: &GatewayStats, cfg: &ServerConfig, conn: &mut Conn) {
+    let Conn { ctx, burst, wr, fds, .. } = conn;
     let limit = cfg.max_in_flight as u64;
-    let mut slots: Vec<Result<Request, Response>> = Vec::with_capacity(requests.len());
-    let mut admitted = 0u64;
     // One reading per burst: the gauge is a sum over every thread's block.
     let in_flight = stats.in_flight.load(Ordering::Relaxed);
-    for req in requests {
-        let load = in_flight + admitted;
-        if load >= limit {
-            stats.admission_rejections.add(1);
-            slots.push(Err(Response::Busy {
-                in_flight: load.min(u32::MAX as u64) as u32,
-                limit: cfg.max_in_flight,
-            }));
-        } else {
-            admitted += 1;
-            slots.push(Ok(req));
-        }
-    }
-    stats.in_flight.add(admitted);
-    let ctx = conn.ctx;
-    let fds = &mut conn.fds;
-    let replies: Vec<Response> = if admitted > 0 {
-        let out = fs.with_batch(|| {
-            slots
-                .into_iter()
-                .map(|slot| match slot {
-                    Ok(req) => dispatch(fs, &ctx, req, fds),
-                    Err(busy) => busy,
-                })
-                .collect()
+    // Admission takes a prefix of the burst, as much as the budget has
+    // room for; the rest is refused in order.
+    let admitted = (burst.len() as u64).min(limit.saturating_sub(in_flight));
+    let mut requests = burst.drain(..);
+    if admitted > 0 {
+        stats.in_flight.add(admitted);
+        fs.with_batch(|| {
+            for req in requests.by_ref().take(admitted as usize) {
+                serve_into(fs, ctx, req, fds, wr);
+            }
         });
         stats.flushes.add(1);
-        out
-    } else {
-        slots.into_iter().map(|slot| slot.expect_err("all rejected")).collect()
+        stats.in_flight.sub(admitted);
+        stats.ops.add(admitted);
+        if admitted > 1 {
+            stats.batched_ops.add(admitted);
+        }
+    }
+    let busy = Response::Busy {
+        in_flight: (in_flight + admitted).min(u32::MAX as u64) as u32,
+        limit: cfg.max_in_flight,
     };
-    stats.in_flight.sub(admitted);
-    stats.ops.add(admitted);
-    if admitted > 1 {
-        stats.batched_ops.add(admitted);
+    for _ in requests {
+        stats.admission_rejections.add(1);
+        wire::frame_into(wr, |out| busy.encode_into(out));
     }
-    for r in replies {
-        push_reply_bytes(conn, &r.encode());
-    }
-    true
-}
-
-fn push_reply_bytes(conn: &mut Conn, body: &[u8]) {
-    let framed = wire::frame(body);
-    conn.wr.extend_from_slice(&framed);
 }
 
 /// Writes queued replies until done or the socket backpressures, arming

@@ -2,22 +2,24 @@
 //! `FileSystem` trait drives an implementation to exactly the same place
 //! as direct trait calls.
 //!
-//! Two `RefFs` instances run the same script — one through
-//! `encode → decode → dispatch`, one through plain method calls — and
-//! every step must agree on outcome class, payloads and metadata. The
-//! script is checked to cover *all* `RequestKind`s, so adding a wire op
-//! without extending the conformance script fails here (and adding a
-//! trait method without a wire row fails the fsapi unit test
+//! Three `RefFs` instances run the same script — one through
+//! `encode → decode → dispatch`, one through the daemon's in-place reply
+//! path (`serve_into`), one through plain method calls. Every step must
+//! agree on outcome class, payloads and metadata, and the in-place reply
+//! frame must equal `wire::frame(&resp.encode())` of the `dispatch` side
+//! byte for byte. The script is checked to cover *all* `RequestKind`s, so
+//! adding a wire op without extending the conformance script fails here
+//! (and adding a trait method without a wire row fails the fsapi unit test
 //! `every_trait_method_has_a_row`).
 
 use std::collections::HashSet;
 
 use simurgh_fsapi::reffs::RefFs;
-use simurgh_fsapi::wire::{Request, RequestKind, Response};
+use simurgh_fsapi::wire::{self, Request, RequestKind, Response, MAX_FRAME};
 use simurgh_fsapi::{
     Fd, FileMode, FileSystem, FsResult, OpenFlags, ProcCtx, SeekFrom, Stat,
 };
-use simurgh_served::dispatch::{dispatch, ConnFds};
+use simurgh_served::dispatch::{dispatch, serve_into, ConnFds};
 
 const CTX: ProcCtx = ProcCtx::root(7);
 
@@ -36,29 +38,54 @@ enum Direct {
     Tree(FsResult<Vec<(String, simurgh_fsapi::FileType, u64)>>),
 }
 
-/// Runs `req` through the full wire path on `fs_w` and the equivalent
-/// direct call on `fs_d`; panics on any observable divergence. Returns
-/// the wire-side response (for fd extraction).
-fn step(
-    fs_w: &RefFs,
-    fs_d: &RefFs,
-    fds: &mut ConnFds,
-    req: Request,
-    covered: &mut HashSet<u8>,
-) -> Response {
-    covered.insert(req.kind() as u8);
-    // The request itself must survive its wire form bit-for-bit.
-    let decoded = Request::decode(&req.encode()).expect("request decodes");
-    assert_eq!(decoded, req, "encode→decode is identity for {req:?}");
+/// The three sides of the conformance script.
+#[derive(Default)]
+struct Sides {
+    /// Served through `encode → decode → dispatch`.
+    wire: RefFs,
+    wire_fds: ConnFds,
+    /// Served through `serve_into`, framing into one growing buffer as the
+    /// daemon frames into a connection's write buffer.
+    in_place: RefFs,
+    in_place_fds: ConnFds,
+    out: Vec<u8>,
+    /// Plain trait calls.
+    direct: RefFs,
+    covered: HashSet<u8>,
+}
 
-    let direct = direct_call(fs_d, &req);
-    let resp = dispatch(fs_w, &CTX, decoded, fds);
-    // Responses survive their wire form too.
-    let resp2 = Response::decode(&resp.encode()).expect("response decodes");
-    assert_eq!(resp2, resp, "response encode→decode is identity for {req:?}");
+impl Sides {
+    /// Runs `req` on the wire and in-place sides and `req_d` — the same op
+    /// on the direct side's own descriptors — as a plain trait call; panics
+    /// on any observable divergence. Returns the wire side's response (for
+    /// fd extraction).
+    fn step_with(&mut self, req: Request, req_d: Request) -> Response {
+        self.covered.insert(req.kind() as u8);
+        // The request itself must survive its wire form bit-for-bit.
+        let decoded = Request::decode(&req.encode()).expect("request decodes");
+        assert_eq!(decoded, req, "encode→decode is identity for {req:?}");
 
-    check_agreement(&req, &resp, &direct);
-    resp
+        let direct = direct_call(&self.direct, &req_d);
+        let resp = dispatch(&self.wire, &CTX, decoded.clone(), &mut self.wire_fds);
+        // Responses survive their wire form too.
+        let resp2 = Response::decode(&resp.encode()).expect("response decodes");
+        assert_eq!(resp2, resp, "response encode→decode is identity for {req:?}");
+
+        let at = self.out.len();
+        serve_into(&self.in_place, &CTX, decoded, &mut self.in_place_fds, &mut self.out);
+        assert!(
+            self.out[at..] == wire::frame(&resp.encode())[..],
+            "in-place frame equals the dispatch frame for {req:?}"
+        );
+
+        check_agreement(&req, &resp, &direct);
+        resp
+    }
+
+    /// [`Sides::step_with`] for requests that carry no descriptor.
+    fn step(&mut self, req: Request) -> Response {
+        self.step_with(req.clone(), req)
+    }
 }
 
 /// The plain trait call equivalent of `req`, using the direct side's own
@@ -172,164 +199,139 @@ fn got_fd(resp: &Response) -> Fd {
 
 #[test]
 fn every_request_kind_conforms_to_direct_trait_calls() {
-    let fs_w = RefFs::new();
-    let fs_d = RefFs::new();
-    let mut fds = ConnFds::new();
-    let mut covered: HashSet<u8> = HashSet::new();
+    let mut s = Sides::default();
     let rw = OpenFlags::RDWR;
     let mode = FileMode::default();
     let dmode = FileMode::dir(0o755);
 
-    // Descriptor ops run twice — once per side — so fd values are carried
-    // separately. The wire side's fd comes out of the Response.
-    let s = |req: Request, fds: &mut ConnFds, covered: &mut HashSet<u8>| {
-        step(&fs_w, &fs_d, fds, req, covered)
-    };
-
-    s(Request::Name, &mut fds, &mut covered);
-    s(Request::Mkdir { path: "/d".into(), mode: dmode }, &mut fds, &mut covered);
-    let r = s(Request::Create { path: "/d/a".into(), mode }, &mut fds, &mut covered);
-    let fd_w = got_fd(&r);
+    s.step(Request::Name);
+    s.step(Request::Mkdir { path: "/d".into(), mode: dmode });
+    let fd_w = got_fd(&s.step(Request::Create { path: "/d/a".into(), mode }));
     // `step` already created `/d/a` on the direct side (and dropped that
     // fd), so pick up a descriptor with the same access as `create`'s
-    // (write-only) — Read/Pread below must err identically on both sides.
-    let fd_d = fs_d.open(&CTX, "/d/a", OpenFlags::WRONLY, mode).unwrap();
-    // From here the two sides use their own descriptors; the wire request
-    // carries the wire side's, `direct_call` substitutes nothing because
-    // the script re-issues the same op shape on the direct side's fd via
-    // a second request value.
-    let wire_direct = |req_w: Request, req_d: Request,
-                       fds: &mut ConnFds,
-                       covered: &mut HashSet<u8>| {
-        covered.insert(req_w.kind() as u8);
-        let decoded = Request::decode(&req_w.encode()).expect("request decodes");
-        assert_eq!(decoded, req_w);
-        let direct = direct_call(&fs_d, &req_d);
-        let resp = dispatch(&fs_w, &CTX, decoded, fds);
-        check_agreement(&req_w, &resp, &direct);
-        resp
-    };
-
-    wire_direct(
+    // (write-only) — Read/Pread below must err identically on every side.
+    let fd_d = s.direct.open(&CTX, "/d/a", OpenFlags::WRONLY, mode).unwrap();
+    // From here the direct side uses its own descriptors: the wire and
+    // in-place sides run in lockstep and share descriptor numbers, and the
+    // direct side gets the same op shape on its own fd.
+    s.step_with(
         Request::Write { fd: fd_w, data: b"hello world".to_vec() },
         Request::Write { fd: fd_d, data: b"hello world".to_vec() },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
+    s.step_with(
         Request::Lseek { fd: fd_w, pos: SeekFrom::Start(0) },
         Request::Lseek { fd: fd_d, pos: SeekFrom::Start(0) },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
-        Request::Read { fd: fd_w, len: 5 },
-        Request::Read { fd: fd_d, len: 5 },
-        &mut fds,
-        &mut covered,
-    );
-    wire_direct(
+    // Reads on a write-only descriptor: an `Err` frame.
+    s.step_with(Request::Read { fd: fd_w, len: 5 }, Request::Read { fd: fd_d, len: 5 });
+    s.step_with(
         Request::Pwrite { fd: fd_w, data: b"WIRE".to_vec(), off: 6 },
         Request::Pwrite { fd: fd_d, data: b"WIRE".to_vec(), off: 6 },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
+    s.step_with(
         Request::Pread { fd: fd_w, len: 16, off: 0 },
         Request::Pread { fd: fd_d, len: 16, off: 0 },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
-        Request::Fsync { fd: fd_w },
-        Request::Fsync { fd: fd_d },
-        &mut fds,
-        &mut covered,
-    );
-    wire_direct(
-        Request::Fstat { fd: fd_w },
-        Request::Fstat { fd: fd_d },
-        &mut fds,
-        &mut covered,
-    );
-    wire_direct(
+    s.step_with(Request::Fsync { fd: fd_w }, Request::Fsync { fd: fd_d });
+    s.step_with(Request::Fstat { fd: fd_w }, Request::Fstat { fd: fd_d });
+    s.step_with(
         Request::Ftruncate { fd: fd_w, len: 4 },
         Request::Ftruncate { fd: fd_d, len: 4 },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
+    s.step_with(
         Request::Fallocate { fd: fd_w, off: 0, len: 128 },
         Request::Fallocate { fd: fd_d, off: 0, len: 128 },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
-        Request::Close { fd: fd_w },
-        Request::Close { fd: fd_d },
-        &mut fds,
-        &mut covered,
-    );
-    assert!(fds.is_empty(), "dispatch stopped tracking the closed fd");
+    s.step_with(Request::Close { fd: fd_w }, Request::Close { fd: fd_d });
+    assert!(s.wire_fds.is_empty(), "dispatch stopped tracking the closed fd");
+    assert!(s.in_place_fds.is_empty(), "serve_into stopped tracking the closed fd");
 
-    let r = s(Request::Open { path: "/d/a".into(), flags: rw, mode }, &mut fds, &mut covered);
-    let fd_w = got_fd(&r);
-    let fd_d2 = fs_d.open(&CTX, "/d/a", rw, mode).unwrap();
+    let fd_w = got_fd(&s.step(Request::Open { path: "/d/a".into(), flags: rw, mode }));
+    let fd_d2 = s.direct.open(&CTX, "/d/a", rw, mode).unwrap();
     // The reopened descriptor is readable — the success paths of the
     // positioned and positional reads.
-    wire_direct(
-        Request::Read { fd: fd_w, len: 4 },
-        Request::Read { fd: fd_d2, len: 4 },
-        &mut fds,
-        &mut covered,
-    );
-    wire_direct(
+    s.step_with(Request::Read { fd: fd_w, len: 4 }, Request::Read { fd: fd_d2, len: 4 });
+    s.step_with(
         Request::Pread { fd: fd_w, len: 8, off: 0 },
         Request::Pread { fd: fd_d2, len: 8, off: 0 },
-        &mut fds,
-        &mut covered,
     );
-    wire_direct(
-        Request::Close { fd: fd_w },
-        Request::Close { fd: fd_d2 },
-        &mut fds,
-        &mut covered,
+    // A read that starts past EOF answers an empty `Data` body.
+    s.step_with(
+        Request::Pread { fd: fd_w, len: 8, off: 1 << 20 },
+        Request::Pread { fd: fd_d2, len: 8, off: 1 << 20 },
     );
+    s.step_with(Request::Close { fd: fd_w }, Request::Close { fd: fd_d2 });
 
-    s(Request::WriteFile { path: "/d/b".into(), data: b"blob".to_vec() }, &mut fds, &mut covered);
-    s(Request::ReadFile { path: "/d/b".into() }, &mut fds, &mut covered);
-    s(Request::ReadToVec { path: "/d/b".into() }, &mut fds, &mut covered);
-    s(Request::Stat { path: "/d/b".into() }, &mut fds, &mut covered);
-    s(Request::Chmod { path: "/d/b".into(), perm: 0o600 }, &mut fds, &mut covered);
-    s(Request::SetTimes { path: "/d/b".into(), atime: 11, mtime: 22 }, &mut fds, &mut covered);
-    s(Request::Link { existing: "/d/b".into(), new: "/d/c".into() }, &mut fds, &mut covered);
-    s(
-        Request::Symlink { target: "/d/b".into(), linkpath: "/d/l".into() },
-        &mut fds,
-        &mut covered,
+    s.step(Request::WriteFile { path: "/d/b".into(), data: b"blob".to_vec() });
+    s.step(Request::ReadFile { path: "/d/b".into() });
+    s.step(Request::ReadToVec { path: "/d/b".into() });
+    let fd_w = got_fd(&s.step(Request::Open {
+        path: "/d/b".into(),
+        flags: OpenFlags::RDONLY,
+        mode,
+    }));
+    let fd_d3 = s.direct.open(&CTX, "/d/b", OpenFlags::RDONLY, mode).unwrap();
+    // A short read at EOF, then one exactly at EOF.
+    s.step_with(
+        Request::Pread { fd: fd_w, len: 16, off: 2 },
+        Request::Pread { fd: fd_d3, len: 16, off: 2 },
     );
-    s(Request::Readlink { path: "/d/l".into() }, &mut fds, &mut covered);
-    s(Request::Rename { old: "/d/c".into(), new: "/d/r".into() }, &mut fds, &mut covered);
-    s(Request::Readdir { path: "/d".into() }, &mut fds, &mut covered);
-    s(Request::SnapshotTree { root: "/".into() }, &mut fds, &mut covered);
-    s(Request::Statfs, &mut fds, &mut covered);
-    s(Request::Unlink { path: "/d/r".into() }, &mut fds, &mut covered);
-    s(Request::Mkdir { path: "/d/e".into(), mode: dmode }, &mut fds, &mut covered);
-    s(Request::Rmdir { path: "/d/e".into() }, &mut fds, &mut covered);
+    s.step_with(
+        Request::Pread { fd: fd_w, len: 16, off: 4 },
+        Request::Pread { fd: fd_d3, len: 16, off: 4 },
+    );
+    s.step_with(Request::Close { fd: fd_w }, Request::Close { fd: fd_d3 });
 
-    // Error-path agreement, same script shape on both sides.
-    s(Request::Stat { path: "/missing".into() }, &mut fds, &mut covered);
-    s(Request::Close { fd: Fd(9999) }, &mut fds, &mut covered);
+    // A `len` above the clamp reads what a `len` at the clamp does: the
+    // server bounds a read so its reply fits one frame.
+    let clamp = (MAX_FRAME - 64) as u32;
+    let big: Vec<u8> = (0..MAX_FRAME).map(|i| i as u8).collect();
+    s.step(Request::WriteFile { path: "/d/big".into(), data: big });
+    let fd_w = got_fd(&s.step(Request::Open {
+        path: "/d/big".into(),
+        flags: OpenFlags::RDONLY,
+        mode,
+    }));
+    let fd_d4 = s.direct.open(&CTX, "/d/big", OpenFlags::RDONLY, mode).unwrap();
+    let resp = s.step_with(
+        Request::Pread { fd: fd_w, len: MAX_FRAME as u32, off: 0 },
+        Request::Pread { fd: fd_d4, len: clamp, off: 0 },
+    );
+    assert!(matches!(&resp, Response::Data(d) if d.len() == clamp as usize), "clamped read");
+    s.step_with(
+        Request::Read { fd: fd_w, len: u32::MAX },
+        Request::Read { fd: fd_d4, len: clamp },
+    );
+    s.step_with(Request::Close { fd: fd_w }, Request::Close { fd: fd_d4 });
+    s.step(Request::Unlink { path: "/d/big".into() });
+
+    s.step(Request::Stat { path: "/d/b".into() });
+    s.step(Request::Chmod { path: "/d/b".into(), perm: 0o600 });
+    s.step(Request::SetTimes { path: "/d/b".into(), atime: 11, mtime: 22 });
+    s.step(Request::Link { existing: "/d/b".into(), new: "/d/c".into() });
+    s.step(Request::Symlink { target: "/d/b".into(), linkpath: "/d/l".into() });
+    s.step(Request::Readlink { path: "/d/l".into() });
+    s.step(Request::Rename { old: "/d/c".into(), new: "/d/r".into() });
+    s.step(Request::Readdir { path: "/d".into() });
+    s.step(Request::SnapshotTree { root: "/".into() });
+    s.step(Request::Statfs);
+    s.step(Request::Unlink { path: "/d/r".into() });
+    s.step(Request::Mkdir { path: "/d/e".into(), mode: dmode });
+    s.step(Request::Rmdir { path: "/d/e".into() });
+
+    // Error-path agreement, same script shape on every side.
+    s.step(Request::Stat { path: "/missing".into() });
+    s.step(Request::Close { fd: Fd(9999) });
 
     // The script must exercise the entire wire surface: a new RequestKind
     // without a conformance step fails here.
     assert_eq!(
-        covered.len(),
+        s.covered.len(),
         RequestKind::COUNT,
         "conformance script covers every RequestKind (missing: {:?})",
         RequestKind::ALL
             .iter()
-            .filter(|k| !covered.contains(&(**k as u8)))
+            .filter(|k| !s.covered.contains(&(**k as u8)))
             .collect::<Vec<_>>()
     );
 }
