@@ -15,7 +15,9 @@
 //!   batch.
 //! * [`dispatch`] — `Request` → trait call → `Response`, one arm per wire
 //!   op (an exhaustive `match`, so a missing arm fails to compile), with
-//!   server-side fd tracking for crash reaping.
+//!   server-side fd tracking for crash reaping; `serve_into`, the
+//!   daemon's reply path, frames each reply straight into the
+//!   connection's write buffer.
 //! * [`batch`] — the [`Served`] extension trait: fence-scope batching and
 //!   the gateway counter battery.
 //! * [`loadgen`] — the measurement client: hundreds of connections,
@@ -36,6 +38,6 @@ pub mod server;
 pub mod sys;
 
 pub use batch::Served;
-pub use dispatch::{dispatch, ConnFds};
+pub use dispatch::{dispatch, serve_into, ConnFds};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use server::{Server, ServerConfig, ServerHandle};

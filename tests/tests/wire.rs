@@ -302,6 +302,9 @@ fn every_request_kind_conforms_to_direct_trait_calls() {
         Request::Read { fd: fd_w, len: u32::MAX },
         Request::Read { fd: fd_d4, len: clamp },
     );
+    // `read` goes on from the descriptor's position: the file's last 64
+    // bytes, a short read.
+    s.step_with(Request::Read { fd: fd_w, len: 4096 }, Request::Read { fd: fd_d4, len: 4096 });
     s.step_with(Request::Close { fd: fd_w }, Request::Close { fd: fd_d4 });
     s.step(Request::Unlink { path: "/d/big".into() });
 
