@@ -38,6 +38,6 @@ pub mod server;
 pub mod sys;
 
 pub use batch::Served;
-pub use dispatch::{dispatch, serve_into, ConnFds};
+pub use dispatch::{dispatch, ConnFds};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use server::{Server, ServerConfig, ServerHandle};

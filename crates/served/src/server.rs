@@ -338,10 +338,10 @@ fn handle_readable<F: Served>(
             Ok(n) => {
                 got_bytes = true;
                 conn.rd.extend_from_slice(&tmp[..n]);
-                // Only a full buffer may have left bytes behind. The
-                // registration is level-triggered, so epoll reports again
-                // whatever a short read left, and the read that would
-                // return EAGAIN is saved.
+                // A read that did not fill the buffer found the socket
+                // drained. The registration is level-triggered, so epoll
+                // reports whatever arrives after it, and the read that
+                // would return EAGAIN is saved.
                 if n < tmp.len() {
                     break;
                 }

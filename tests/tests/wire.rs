@@ -82,7 +82,7 @@ impl Sides {
         resp
     }
 
-    /// [`Sides::step_with`] for requests that carry no descriptor.
+    /// [`Sides::step_with`] with the same request on every side.
     fn step(&mut self, req: Request) -> Response {
         self.step_with(req.clone(), req)
     }
